@@ -3,8 +3,10 @@
 // SoundnessOptions::jobs. Both drivers promise bit-identical output for
 // every jobs value, so each workload's result digest is checked across all
 // measured jobs levels before any timing is reported; parallelism may only
-// ever buy wall-clock. The table is written to BENCH_parallel.json
-// (override with --out=PATH).
+// ever buy wall-clock. Timings are interleaved rounds that visit every jobs
+// level once, reported as the median and range per level, so a slow spell
+// of the host lands on all levels alike. The table is written to
+// BENCH_parallel.json (override with --out=PATH).
 //
 // Note: speedup is bounded by the physical core count of the machine the
 // bench runs on (hardware_jobs in the JSON); on a single-core container
@@ -12,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +29,6 @@
 #include "optimizer/code_motion.h"
 #include "optimizer/hidden_join.h"
 #include "optimizer/optimizer.h"
-#include "term/intern.h"
 #include "values/car_world.h"
 #include "verify/soundness.h"
 
@@ -89,8 +91,11 @@ SoundnessOptions SweepOptions(int jobs) {
 
 struct Row {
   std::string name;
-  std::vector<double> ms;       // parallel to kJobsLevels
-  std::vector<double> speedup;  // serial_ms / ms
+  int repetitions = 0;
+  std::vector<double> ms;       // median per level, parallel to kJobsLevels
+  std::vector<double> ms_min;   // fastest round per level
+  std::vector<double> ms_max;   // slowest round per level
+  std::vector<double> speedup;  // serial median / median
 };
 
 /// True when a jobs level oversubscribes this machine: more workers than
@@ -99,10 +104,37 @@ struct Row {
 /// instead of quietly reporting a ~1x "speedup" as if it were a finding.
 bool ExceedsHardware(int jobs) { return jobs > HardwareJobs(); }
 
-void FinishRow(Row* row) {
-  for (double ms : row->ms) {
-    row->speedup.push_back(ms > 0 ? row->ms.front() / ms : 0);
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Runs `timed_run(jobs)` (which returns its own wall-clock ms) in
+/// `repetitions` rounds, each visiting every jobs level once, and reports
+/// each level's median and range over the rounds.
+template <typename TimedRun>
+Row TimeInterleaved(std::string name, int repetitions,
+                    const TimedRun& timed_run) {
+  std::vector<std::vector<double>> samples(std::size(kJobsLevels));
+  for (int rep = 0; rep < repetitions; ++rep) {
+    for (size_t level = 0; level < std::size(kJobsLevels); ++level) {
+      samples[level].push_back(timed_run(kJobsLevels[level]));
+    }
   }
+  Row row;
+  row.name = std::move(name);
+  row.repetitions = repetitions;
+  for (std::vector<double>& level_ms : samples) {
+    std::sort(level_ms.begin(), level_ms.end());
+    row.ms.push_back(level_ms[level_ms.size() / 2]);
+    row.ms_min.push_back(level_ms.front());
+    row.ms_max.push_back(level_ms.back());
+  }
+  for (double ms : row.ms) {
+    row.speedup.push_back(ms > 0 ? row.ms.front() / ms : 0);
+  }
+  return row;
 }
 
 Row MeasureOptimizeAll(int repetitions) {
@@ -124,23 +156,14 @@ Row MeasureOptimizeAll(int repetitions) {
     KOLA_CHECK(digest == serial_digest);
   }
 
-  Row row;
-  row.name = "optimize_all/mixed_batch24";
-  for (size_t level = 0; level < std::size(kJobsLevels); ++level) {
-    double best = 0;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      auto start = std::chrono::steady_clock::now();
-      auto results = optimizer.OptimizeAll(batch, kJobsLevels[level]);
-      auto end = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(results);
-      double ms =
-          std::chrono::duration<double, std::milli>(end - start).count();
-      if (rep == 0 || ms < best) best = ms;
-    }
-    row.ms.push_back(best);
-  }
-  FinishRow(&row);
-  return row;
+  return TimeInterleaved(
+      "optimize_all/mixed_batch24", repetitions, [&](int jobs) {
+        auto start = std::chrono::steady_clock::now();
+        auto results = optimizer.OptimizeAll(batch, jobs);
+        double ms = MsSince(start);
+        benchmark::DoNotOptimize(results);
+        return ms;
+      });
 }
 
 Row MeasureSoundnessSweep(int repetitions) {
@@ -155,30 +178,21 @@ Row MeasureSoundnessSweep(int repetitions) {
     KOLA_CHECK(report->Summary() == serial_summary);
   }
 
-  Row row;
-  row.name = "soundness_sweep/48_trials_x32_configs";
-  for (size_t level = 0; level < std::size(kJobsLevels); ++level) {
-    double best = 0;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      SoundnessHarness harness(SweepOptions(kJobsLevels[level]));
-      auto start = std::chrono::steady_clock::now();
-      auto report = harness.Run();
-      auto end = std::chrono::steady_clock::now();
-      KOLA_CHECK_OK(report.status());
-      benchmark::DoNotOptimize(report);
-      double ms =
-          std::chrono::duration<double, std::milli>(end - start).count();
-      if (rep == 0 || ms < best) best = ms;
-    }
-    row.ms.push_back(best);
-  }
-  FinishRow(&row);
-  return row;
+  return TimeInterleaved(
+      "soundness_sweep/48_trials_x8_configs", repetitions, [](int jobs) {
+        SoundnessHarness harness(SweepOptions(jobs));
+        auto start = std::chrono::steady_clock::now();
+        auto report = harness.Run();
+        double ms = MsSince(start);
+        KOLA_CHECK_OK(report.status());
+        benchmark::DoNotOptimize(report);
+        return ms;
+      });
 }
 
 /// Accounting pass: the mixed batch re-run serially under a pure-meter
-/// governor (byte budget 0 never exhausts) with a private interner arena,
-/// so the JSON records the batch driver's peak charged bytes.
+/// governor (byte budget 0 never exhausts), so the JSON records the batch
+/// driver's peak charged bytes.
 int64_t MeasurePeakChargedBytes() {
   const PropertyStore properties = PropertyStore::Default();
   CarWorldOptions world;
@@ -187,9 +201,6 @@ int64_t MeasurePeakChargedBytes() {
   world.num_addresses = 10;
   auto db = BuildCarWorld(world);
   Governor meter{Governor::Limits{}};
-  ScopedMemoryGovernor memory_scope(&meter);
-  TermInterner arena;
-  ScopedInterning interning(&arena);
   RewriterOptions options = RewriterOptions::Defaults();
   options.governor = &meter;
   Optimizer optimizer(&properties, db.get(), options);
@@ -208,7 +219,7 @@ std::vector<Row> RunTable() {
   for (int jobs : kJobsLevels) {
     std::printf("  jobs=%d(ms)%s", jobs, ExceedsHardware(jobs) ? "*" : "");
   }
-  std::printf("  speedup@4\n");
+  std::printf("  speedup@4  (medians)\n");
   auto emit = [&](Row row) {
     std::printf("%-40s", row.name.c_str());
     for (size_t level = 0; level < row.ms.size(); ++level) {
@@ -218,8 +229,8 @@ std::vector<Row> RunTable() {
     std::printf("  %7.2fx\n", row.speedup.back());
     rows.push_back(std::move(row));
   };
-  emit(MeasureOptimizeAll(3));
-  emit(MeasureSoundnessSweep(3));
+  emit(MeasureOptimizeAll(15));
+  emit(MeasureSoundnessSweep(5));
   bool any_oversubscribed = false;
   for (int jobs : kJobsLevels) any_oversubscribed |= ExceedsHardware(jobs);
   if (any_oversubscribed) {
@@ -246,16 +257,20 @@ void WriteJson(const std::vector<Row>& rows, int64_t peak_charged_bytes,
                static_cast<long long>(peak_charged_bytes));
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"levels\": [",
-                 rows[i].name.c_str());
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"repetitions\": %d, "
+                 "\"levels\": [",
+                 rows[i].name.c_str(), rows[i].repetitions);
     for (size_t level = 0; level < rows[i].ms.size(); ++level) {
       std::fprintf(f,
                    "{\"jobs\": %d, \"hardware_jobs\": %d, "
                    "\"exceeds_hardware\": %s, \"ms\": %.3f, "
+                   "\"ms_min\": %.3f, \"ms_max\": %.3f, "
                    "\"speedup\": %.2f}%s",
                    kJobsLevels[level], HardwareJobs(),
                    ExceedsHardware(kJobsLevels[level]) ? "true" : "false",
-                   rows[i].ms[level], rows[i].speedup[level],
+                   rows[i].ms[level], rows[i].ms_min[level],
+                   rows[i].ms_max[level], rows[i].speedup[level],
                    level + 1 < rows[i].ms.size() ? ", " : "");
     }
     std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");

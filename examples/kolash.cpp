@@ -11,8 +11,8 @@
 //   :rules <substring>    list catalog rules matching the substring
 //   :verify <rule-id>     randomized soundness check of one catalog rule
 //   :schema               show extents and their sizes
-//   :stats                interner occupancy, fixpoint-cache hit rates,
-//                         and per-category memory charged this session
+//   :stats                compiled rule indexes and per-category memory
+//                         charged this session
 //   :help                 this text
 //   :quit                 exit
 
@@ -29,7 +29,6 @@
 #include "rewrite/rule_index.h"
 #include "rewrite/verifier.h"
 #include "rules/catalog.h"
-#include "term/intern.h"
 #include "term/parser.h"
 #include "translate/translate.h"
 #include "values/car_world.h"
@@ -47,7 +46,7 @@ void PrintHelp() {
       "  :rules <substring>    list catalog rules\n"
       "  :verify <rule-id>     randomized soundness check of one rule\n"
       "  :schema               show extents\n"
-      "  :stats                interner / cache / memory statistics\n"
+      "  :stats                rule-index / memory statistics\n"
       "  :help                 this text\n"
       "  :quit                 exit\n");
 }
@@ -88,14 +87,10 @@ int main() {
   PropertyStore properties = PropertyStore::Default();
 
   // Session-long accounting governor: no limits (a byte budget of 0 never
-  // exhausts), so it is a pure meter -- every interner insertion, fixpoint
-  // cache entry, exploration frontier and evaluator materialization
-  // charges it, and :stats reads the running totals back.
+  // exhausts), so it is a pure meter -- every compiled rule index,
+  // exploration frontier, e-graph and evaluator materialization charges
+  // it, and :stats reads the running totals back.
   Governor session_governor{Governor::Limits{}};
-  ScopedMemoryGovernor memory_scope(&session_governor);
-  // Intern every term for the session so :stats can show arena occupancy
-  // (interning is semantics-free; it only canonicalizes pointers).
-  ScopedInterning session_interning(true);
 
   RewriterOptions engine_options = RewriterOptions::Defaults();
   engine_options.governor = &session_governor;
@@ -141,17 +136,6 @@ int main() {
                       extent.ok() ? extent->SetSize() : 0);
         }
       } else if (command == "stats") {
-        const TermInterner& interner = GlobalTermInterner();
-        std::printf("  interner:        %zu terms, %lld bytes\n",
-                    interner.size(),
-                    static_cast<long long>(interner.bytes()));
-        Rewriter::CacheStats caches = optimizer.rewriter().PooledCacheStats();
-        std::printf("  fixpoint caches: %zu caches, %zu entries, "
-                    "%llu hits / %llu misses / %llu evictions\n",
-                    caches.caches, caches.entries,
-                    static_cast<unsigned long long>(caches.hits),
-                    static_cast<unsigned long long>(caches.misses),
-                    static_cast<unsigned long long>(caches.evictions));
         const RuleIndexCacheStats indexes = GetRuleIndexCacheStats();
         std::printf("  rule indexes:    %zu compiled, %lld bytes, "
                     "%llu hits / %llu misses\n",

@@ -4,7 +4,7 @@
 // a random well-typed query, builds a fresh random database, evaluates the
 // query un-optimized (naive nested-loop semantics) as ground truth, then
 // optimizes and re-evaluates under every cell of the engine configuration
-// matrix (term interning x fixpoint memoization x physical fastpaths).
+// matrix (physical fastpaths x rule index x e-graph, 8 cells).
 // Any result disagreement is shrunk to a minimal query + world and printed
 // with a one-line replay command.
 //
@@ -21,7 +21,7 @@
 //   kolaverify --memory-budget 4096 --retries 2   # escalate degraded
 //                                       # passes through bigger budgets
 //   kolaverify --replay 'iterate(Kp(T), age) ! P' --world-seed 12345
-//              --world-scale 1 --config memo+fast
+//              --world-scale 1 --config fast+index
 //
 // Exit status: 0 when clean, 1 on any divergence (or bad usage).
 
@@ -52,15 +52,15 @@ void PrintUsage() {
       "  --jobs N          worker threads (default: hardware concurrency);\n"
       "                    the report is bit-identical for every N\n"
       "  --config NAME     check one config instead of the full matrix;\n"
-      "                    NAME is '+'-joined from intern, memo, fast,\n"
-      "                    or 'plain' (e.g. memo+fast)\n"
+      "                    NAME is '+'-joined from fast, index, egraph,\n"
+      "                    or 'plain' (e.g. fast+index)\n"
       "  --plant-unsound   plant a deliberately broken rule; the harness\n"
       "                    must catch and shrink it (exit 1 = caught)\n"
       "  --deadline-ms N   wall-clock budget per pipeline stage; deadline\n"
       "                    hits degrade (optimizer) or skip (evaluation),\n"
       "                    never fail a trial (default 0 = ungoverned)\n"
-      "  --memory-budget N byte budget per pipeline stage (interner arena,\n"
-      "                    fixpoint cache, exploration frontier, evaluator\n"
+      "  --memory-budget N byte budget per pipeline stage (exploration\n"
+      "                    frontier, rule indexes, e-graph, evaluator\n"
       "                    scratch); exhaustion degrades or skips, never\n"
       "                    fails a trial (default 0 = unlimited)\n"
       "  --retries N       escalation retries for memory-degraded passes:\n"

@@ -99,24 +99,4 @@ void Governor::ReleaseMemory(MemoryCategory category, int64_t bytes) const {
 
 void Governor::Cancel() const { Stop(StopCause::kCancelled); }
 
-namespace {
-
-const Governor*& MemoryGovernorSlot() {
-  thread_local const Governor* governor = nullptr;
-  return governor;
-}
-
-}  // namespace
-
-const Governor* ActiveMemoryGovernor() { return MemoryGovernorSlot(); }
-
-ScopedMemoryGovernor::ScopedMemoryGovernor(const Governor* governor)
-    : previous_(MemoryGovernorSlot()) {
-  MemoryGovernorSlot() = governor;
-}
-
-ScopedMemoryGovernor::~ScopedMemoryGovernor() {
-  MemoryGovernorSlot() = previous_;
-}
-
 }  // namespace kola

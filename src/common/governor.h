@@ -41,10 +41,10 @@ class Governor {
     /// Total steps (rule firings + evaluator ticks) across the whole
     /// request. 0 means unlimited.
     int64_t step_budget = 0;
-    /// Total bytes (interner arenas + fixpoint-cache entries + exploration
-    /// frontier + evaluator scratch) across the whole request. 0 means
-    /// unlimited -- charges are still accounted so peak usage is
-    /// observable, they just never fail.
+    /// Total bytes (exploration frontier + evaluator scratch + rule indexes
+    /// + e-graph) across the whole request. 0 means unlimited -- charges
+    /// are still accounted so peak usage is observable, they just never
+    /// fail.
     int64_t memory_budget_bytes = 0;
   };
 
@@ -107,26 +107,6 @@ class Governor {
   mutable std::atomic<StopCause> cause_{StopCause::kNone};
   mutable std::atomic<int64_t> spent_{0};
   mutable std::atomic<uint64_t> charges_{0};
-};
-
-/// The governor whose memory budget `TermInterner` charges arena growth to
-/// on THIS thread, or nullptr when interner memory is unaccounted. A
-/// thread-local ambient slot (like ActiveTermInterner / ActiveFaultInjector)
-/// because interning happens inside Term::Make, which has no options
-/// channel. Installed by Optimizer::Optimize around a governed pass.
-const Governor* ActiveMemoryGovernor();
-
-/// Installs `governor` (may be nullptr) as the calling thread's ambient
-/// memory governor for the scope; restores the previous one on exit.
-class ScopedMemoryGovernor {
- public:
-  explicit ScopedMemoryGovernor(const Governor* governor);
-  ~ScopedMemoryGovernor();
-  ScopedMemoryGovernor(const ScopedMemoryGovernor&) = delete;
-  ScopedMemoryGovernor& operator=(const ScopedMemoryGovernor&) = delete;
-
- private:
-  const Governor* previous_;
 };
 
 /// RAII bookkeeping for one component's charges against one category of a

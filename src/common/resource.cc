@@ -6,10 +6,6 @@ namespace kola {
 
 const char* MemoryCategoryName(MemoryCategory category) {
   switch (category) {
-    case MemoryCategory::kInternerArena:
-      return "interner-arena";
-    case MemoryCategory::kFixpointCache:
-      return "fixpoint-cache";
     case MemoryCategory::kExploreFrontier:
       return "explore-frontier";
     case MemoryCategory::kEvalScratch:

@@ -12,15 +12,13 @@ namespace kola {
 /// unboundedly is attributed to one of these, so a degradation report (and
 /// kolash's :stats) can say WHICH structure blew the budget.
 enum class MemoryCategory {
-  kInternerArena = 0,  // canonical terms held by a TermInterner
-  kFixpointCache,      // negative-match entries in FixpointCache
-  kExploreFrontier,    // candidate plans held by ExploreJoinPlans
-  kEvalScratch,        // values materialized by the evaluator
-  kRuleIndex,          // compiled discrimination-tree rule indexes
-  kEGraph,             // e-nodes and hashcons entries held by an EGraph
+  kExploreFrontier = 0,  // candidate plans held by ExploreJoinPlans
+  kEvalScratch,          // values materialized by the evaluator
+  kRuleIndex,            // compiled discrimination-tree rule indexes
+  kEGraph,               // e-nodes and hashcons entries held by an EGraph
 };
 
-inline constexpr int kNumMemoryCategories = 6;
+inline constexpr int kNumMemoryCategories = 4;
 
 const char* MemoryCategoryName(MemoryCategory category);
 

@@ -33,17 +33,9 @@ StatusOr<std::vector<Candidate>> ExploreJoinPlans(const TermPtr& query,
   std::vector<Candidate> candidates;
   // Dedup on canonical term identity: every candidate plan is interned, so
   // "seen before" is one hash-map probe on a TermId instead of re-hashing
-  // and printing the whole tree. Reuses the globally active interner when
-  // one is enabled; otherwise a local arena scoped to this exploration.
-  TermInterner local_interner;
-  TermInterner& interner = ActiveTermInterner() != nullptr
-                               ? *ActiveTermInterner()
-                               : local_interner;
+  // and printing the whole tree, in an arena scoped to this exploration.
+  TermInterner interner;
   std::unordered_map<const Term*, size_t> seen;
-  // The cleanup fixpoint runs once per explored plan over one fixed rule
-  // set; sharing the negative-match memo across those runs lets unchanged
-  // subtrees short-circuit between candidates.
-  FixpointCache cleanup_cache;
 
   // Frontier accounting: every retained candidate charges its plan's node
   // footprint plus bookkeeping to the request's memory budget, released
@@ -90,8 +82,7 @@ StatusOr<std::vector<Candidate>> ExploreJoinPlans(const TermPtr& query,
            status.code() == StatusCode::kUnavailable;
   };
 
-  auto normalized =
-      rewriter.Fixpoint(cleanup, query, nullptr, 10'000, &cleanup_cache);
+  auto normalized = rewriter.Fixpoint(cleanup, query, nullptr);
   if (normalized.ok()) {
     add(std::move(normalized).value(), {});
   } else if (recoverable(normalized.status())) {
@@ -113,8 +104,7 @@ StatusOr<std::vector<Candidate>> ExploreJoinPlans(const TermPtr& query,
       RewriteStep step;
       auto rewritten = rewriter.ApplyOnce(rule, base, &step);
       if (!rewritten) continue;
-      auto cleaned = rewriter.Fixpoint(cleanup, *rewritten, nullptr, 10'000,
-                                       &cleanup_cache);
+      auto cleaned = rewriter.Fixpoint(cleanup, *rewritten, nullptr);
       if (!cleaned.ok()) {
         if (recoverable(cleaned.status())) {
           budget_hit = true;  // keep what we have, stop exploring

@@ -60,14 +60,11 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const TermPtr& query,
   // (the delegate's private governor is non-null: no recursion).
   if (governor == nullptr) return Optimize(query);
   // A governed pass runs on a per-call Rewriter clone carrying the
-  // governor, so the member rewriter_ (and its cache pool) never aliases a
-  // budget that outlives the call.
+  // governor, so the member rewriter_ never aliases a budget that outlives
+  // the call.
   RewriterOptions options = rewriter_.options();
   options.governor = governor;
   Rewriter governed(rewriter_.properties(), options);
-  // Interner arena growth charges to the ambient per-thread governor
-  // (interning happens inside Term::Make, which has no options channel).
-  ScopedMemoryGovernor memory_scope(governor);
   return RunPipeline(query, governed, governor);
 }
 
@@ -230,7 +227,7 @@ std::vector<BatchOptimizeResult> Optimizer::OptimizeAll(
   // which queries get poisoned is identical at every jobs level.
   FaultInjector* injector = ActiveFaultInjector();
 
-  auto run_one = [&](const Optimizer& optimizer, size_t i) {
+  auto run_one = [&](size_t i) {
     if (injector != nullptr &&
         injector->ShouldFailKeyed(FaultSite::kPoolTask, i)) {
       // The worker task for this one query dies; its entry carries the
@@ -241,7 +238,7 @@ std::vector<BatchOptimizeResult> Optimizer::OptimizeAll(
       return;
     }
     try {
-      auto result = optimizer.Optimize(queries[i], governor);
+      auto result = Optimize(queries[i], governor);
       if (result.ok()) {
         entries[i].result = std::move(result).value();
       } else {
@@ -261,21 +258,18 @@ std::vector<BatchOptimizeResult> Optimizer::OptimizeAll(
 
   if (jobs > static_cast<int>(count)) jobs = static_cast<int>(count);
   if (jobs <= 1) {
-    for (size_t i = 0; i < count; ++i) run_one(*this, i);
+    for (size_t i = 0; i < count; ++i) run_one(i);
     return entries;
   }
-  // One Optimizer clone per worker: each clone owns its Rewriter and
-  // fixpoint cache pool, so workers share only immutable inputs (the
-  // PropertyStore, the Database, the queries).
-  const PropertyStore* properties = rewriter_.properties();
-  const RewriterOptions options = rewriter_.options();
+  // Every worker drives this Optimizer: it holds no per-query state, so the
+  // workers share only immutable inputs (rules, the PropertyStore, the
+  // Database, the queries) and the mutex-guarded compiled-index pool.
   std::atomic<size_t> next{0};
   auto drain = [&] {
-    Optimizer worker(properties, db_, options);
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      run_one(worker, i);
+      run_one(i);
     }
   };
   ThreadPool pool(jobs - 1);

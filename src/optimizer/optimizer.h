@@ -61,6 +61,10 @@ struct BatchOptimizeResult {
 /// The end-to-end rule-driven optimizer: simplification, code motion,
 /// hidden-join untangling, final cleanup -- all of it rules + strategies,
 /// no head or body routines. Cost-based acceptance uses the CostModel.
+///
+/// Holds no per-query mutable state (the Rewriter's compiled-index pool is
+/// mutex-guarded), so one instance may serve Optimize calls from several
+/// threads at once.
 class Optimizer {
  public:
   /// `properties` enables precondition-guarded rules (may be nullptr).
@@ -70,12 +74,10 @@ class Optimizer {
       : Optimizer(properties, db, RewriterOptions::Defaults()) {}
 
   /// As above, with explicit engine tunables -- the soundness harness uses
-  /// this to run the same pipeline with and without fixpoint memoization.
+  /// this to run the same pipeline with and without the rule index.
   Optimizer(const PropertyStore* properties, const Database* db,
             RewriterOptions options)
-      : rewriter_(properties, WithPooledCaches(options)),
-        cost_model_(db),
-        db_(db) {}
+      : rewriter_(properties, options), cost_model_(db) {}
 
   /// Runs the full pipeline. Exhaustion is NOT an error: when a phase
   /// fails (budget, deadline, injected fault, bad rule block), the pass
@@ -98,9 +100,8 @@ class Optimizer {
   /// Optimizes every query of the batch, fanning out across up to `jobs`
   /// worker threads; entries come back in input order and each OK entry is
   /// byte-identical to what Optimize(queries[i], governor) returns,
-  /// whatever `jobs` is (a worker owns its whole Optimizer clone --
-  /// rewriter, fixpoint cache pool, cost model -- so there is no
-  /// cross-thread engine state, and Optimize itself is deterministic).
+  /// whatever `jobs` is (the workers share this Optimizer, which holds no
+  /// per-query state, and Optimize itself is deterministic).
   /// Queries are isolated: one entry failing (worker death, exception)
   /// carries its own non-OK status and leaves every other entry intact.
   /// `governor`, when set, is shared by all workers: one budget for the
@@ -111,29 +112,13 @@ class Optimizer {
 
   const Rewriter& rewriter() const { return rewriter_; }
 
-  /// The database the cost model was grounded on (may be nullptr). Exposed
-  /// so wrappers (RetrySupervisor) can clone this optimizer with adjusted
-  /// engine options.
-  const Database* database() const { return db_; }
-
  private:
-  /// The optimizer pipeline re-enters Fixpoint with the same rule blocks
-  /// for every query, so its private Rewriter keeps per-fingerprint caches
-  /// alive across calls (the per-worker cache of OptimizeAll). This is why
-  /// an Optimizer instance must not be shared across threads: clone one per
-  /// worker, as OptimizeAll does.
-  static RewriterOptions WithPooledCaches(RewriterOptions options) {
-    options.reuse_fixpoint_caches = true;
-    return options;
-  }
-
   StatusOr<OptimizeResult> RunPipeline(const TermPtr& query,
                                        const Rewriter& rewriter,
                                        const Governor* governor) const;
 
   Rewriter rewriter_;
   CostModel cost_model_;
-  const Database* db_;
 };
 
 }  // namespace kola

@@ -52,9 +52,8 @@ int64_t RetrySupervisor::AttemptBudget(uint64_t query_index,
   return std::llround(budget);
 }
 
-RetryOutcome RetrySupervisor::RunOne(const Optimizer& optimizer,
-                                     const TermPtr& query,
-                                     uint64_t query_index) const {
+RetryOutcome RetrySupervisor::Optimize(const TermPtr& query,
+                                       uint64_t query_index) const {
   RetryOutcome outcome;
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     Governor::Limits limits;
@@ -67,7 +66,7 @@ RetryOutcome RetrySupervisor::RunOne(const Optimizer& optimizer,
         ScaleLimit(options_.step_budget, options_.escalation_factor, attempt);
     Governor governor(limits);
 
-    auto result = optimizer.Optimize(query, &governor);
+    auto result = optimizer_->Optimize(query, &governor);
     outcome.report.attempts = attempt + 1;
     outcome.report.final_budget = limits.memory_budget_bytes;
     const MemoryBudget& memory = governor.memory();
@@ -101,19 +100,14 @@ RetryOutcome RetrySupervisor::RunOne(const Optimizer& optimizer,
   return outcome;
 }
 
-RetryOutcome RetrySupervisor::Optimize(const TermPtr& query,
-                                       uint64_t query_index) const {
-  return RunOne(*optimizer_, query, query_index);
-}
-
 std::vector<RetryOutcome> RetrySupervisor::OptimizeAll(
     std::span<const TermPtr> queries, int jobs) const {
   const size_t count = queries.size();
   std::vector<RetryOutcome> outcomes(count);
 
-  auto run_one = [&](const Optimizer& optimizer, size_t i) {
+  auto run_one = [&](size_t i) {
     try {
-      outcomes[i] = RunOne(optimizer, queries[i], i);
+      outcomes[i] = Optimize(queries[i], i);
     } catch (const std::exception& e) {
       outcomes[i].status = InternalError("supervised query " +
                                          std::to_string(i) +
@@ -127,23 +121,19 @@ std::vector<RetryOutcome> RetrySupervisor::OptimizeAll(
 
   if (jobs > static_cast<int>(count)) jobs = static_cast<int>(count);
   if (jobs <= 1) {
-    for (size_t i = 0; i < count; ++i) run_one(*optimizer_, i);
+    for (size_t i = 0; i < count; ++i) run_one(i);
     return outcomes;
   }
-  // One Optimizer clone per worker, exactly like Optimizer::OptimizeAll:
-  // clones share only immutable inputs, and every per-query decision
-  // (budgets, jitter, retry count) is a pure function of the query index,
-  // so the outcome vector is byte-identical at every jobs level.
-  const PropertyStore* properties = optimizer_->rewriter().properties();
-  const RewriterOptions options = optimizer_->rewriter().options();
-  const Database* db = optimizer_->database();
+  // The workers share the one Optimizer, exactly like
+  // Optimizer::OptimizeAll, and every per-query decision (budgets, jitter,
+  // retry count) is a pure function of the query index, so the outcome
+  // vector is byte-identical at every jobs level.
   std::atomic<size_t> next{0};
   auto drain = [&] {
-    Optimizer worker(properties, db, options);
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      run_one(worker, i);
+      run_one(i);
     }
   };
   ThreadPool pool(jobs - 1);

@@ -74,9 +74,8 @@ struct RetryOutcome {
 /// (query, options, i), never on jobs or scheduling.
 class RetrySupervisor {
  public:
-  /// `optimizer` is borrowed and must outlive the supervisor. Its
-  /// RewriterOptions (memoization, cache capacity...) are inherited by the
-  /// per-worker clones OptimizeAll creates.
+  /// `optimizer` is borrowed and must outlive the supervisor; OptimizeAll's
+  /// workers share it.
   RetrySupervisor(const Optimizer* optimizer, RetryOptions options);
 
   /// Supervises one query. `query_index` keys the jitter stream (pass the
@@ -94,9 +93,6 @@ class RetrySupervisor {
   /// Budget of attempt `attempt` for query `query_index` (attempt 0 is the
   /// unjittered base so a 1-attempt supervisor equals a plain budget).
   int64_t AttemptBudget(uint64_t query_index, int attempt) const;
-
-  RetryOutcome RunOne(const Optimizer& optimizer, const TermPtr& query,
-                      uint64_t query_index) const;
 
   const Optimizer* optimizer_;
   RetryOptions options_;

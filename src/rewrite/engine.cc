@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "term/intern.h"
-
 #include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/macros.h"
@@ -13,23 +11,6 @@
 namespace kola {
 
 namespace {
-
-// Subtrees smaller than this are cheaper to re-match than to hash into the
-// failed-set, so the memo skips them.
-constexpr size_t kFixpointMemoMinNodes = 8;
-
-// Whole-term floor for Fixpoint's implicit accelerators (the negative-match
-// memo and construction-time interning of rewrite spines). Small fixpoints
-// converge in a handful of sweeps, where per-sweep memo inserts and arena
-// hashing dominate the matching they save -- this is what held the
-// interning benchmark below 1.0x on untangle_garage (32 nodes) and the
-// Figure 4 queries (11-15 nodes) -- while the hidden-join workloads that
-// profit start at 59+ nodes. Gated once on the ENTRY term: a term that
-// grows past the floor mid-fixpoint keeps its plain sweep (results and
-// traces do not depend on the accelerators, so the gate is pure policy).
-// Caller-provided FixpointCaches are exempt: passing one is an explicit
-// opt-in (and tests rely on small-query caches populating).
-constexpr size_t kFixpointAccelMinTermNodes = 48;
 
 /// Term::stable_hash with the nullptr convention fingerprints use.
 uint64_t StableTermHash(const TermPtr& term) {
@@ -52,106 +33,12 @@ uint64_t RuleSetFingerprint(const std::vector<Rule>& rules) {
       fp = StableHashCombine(fp, StableTermHash(atom.pattern));
     }
   }
-  // Reserve 0 for "not attuned yet".
+  // Reserve 0 for "no fingerprint".
   return fp == 0 ? 1 : fp;
-}
-
-void FixpointCache::Reset() {
-  fingerprint_ = 0;
-  rule_count_ = 0;
-  slots_.clear();
-  hand_ = 0;
-  index_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
-  charge_.ReleaseAll();
-}
-
-int64_t FixpointCache::EntryFootprintBytes() {
-  // One ring slot plus one hash-map node (bucket pointer, hash, key,
-  // value) -- a deliberate overestimate of the per-entry overhead so tight
-  // budgets trip before the allocator is actually in trouble.
-  return static_cast<int64_t>(sizeof(Slot) + 4 * sizeof(void*) +
-                              sizeof(size_t) + sizeof(const Term*));
-}
-
-void FixpointCache::Attune(uint64_t fingerprint, size_t rule_count) {
-  if (fingerprint_ != fingerprint) {
-    // Reset releases the held bytes but keeps the governor binding.
-    Reset();
-    fingerprint_ = fingerprint;
-  }
-  if (rule_count_ < rule_count) rule_count_ = rule_count;
-  if (index_.size() < rule_count_) index_.resize(rule_count_);
-}
-
-void FixpointCache::BindGovernor(const Governor* governor) {
-  // Idempotent for the common case (a pooled cache re-entered by the same
-  // Rewriter): releasing and re-charging live entries every call would
-  // zero the accounting while the entries persist.
-  if (governor == bound_governor_) return;
-  charge_.ReleaseAll();
-  charge_ = MemoryCharge(governor, MemoryCategory::kFixpointCache);
-  bound_governor_ = governor;
-}
-
-bool FixpointCache::CheckFailed(size_t rule_index, const TermPtr& term) {
-  auto& index = index_[rule_index];
-  auto it = index.find(term.get());
-  if (it == index.end()) {
-    ++misses_;
-    return false;
-  }
-  ++hits_;
-  slots_[it->second].referenced = true;
-  return true;
-}
-
-size_t FixpointCache::EvictOne() {
-  // Second chance: sweep from the hand, clearing referenced bits, until an
-  // unreferenced slot turns up (bounded by one full lap plus one step).
-  for (;;) {
-    Slot& slot = slots_[hand_];
-    size_t victim = hand_;
-    hand_ = (hand_ + 1) % slots_.size();
-    if (slot.referenced) {
-      slot.referenced = false;
-      continue;
-    }
-    index_[slot.rule_index].erase(slot.term.get());
-    slot.term = nullptr;
-    ++evictions_;
-    charge_.Release(EntryFootprintBytes());
-    return victim;
-  }
-}
-
-void FixpointCache::RecordFailed(size_t rule_index, TermPtr term) {
-  // Entry bytes are charged before insertion; once the budget is gone the
-  // cache stops growing (and, being sticky, the governor is already
-  // degrading the pass -- this just keeps the loss local).
-  if (!charge_.Add(EntryFootprintBytes()).ok()) return;
-  size_t slot_index;
-  if (capacity_ > 0 && slots_.size() >= capacity_) {
-    slot_index = EvictOne();
-  } else {
-    slot_index = slots_.size();
-    slots_.emplace_back();
-  }
-  Slot& slot = slots_[slot_index];
-  slot.rule_index = static_cast<uint32_t>(rule_index);
-  slot.referenced = false;
-  index_[rule_index].emplace(term.get(), slot_index);
-  slot.term = std::move(term);
 }
 
 RewriterOptions RewriterOptions::Defaults() {
   RewriterOptions options;
-  // Truthy-set semantics (common/env.h): KOLA_NO_FIXPOINT_MEMO=0 leaves
-  // memoization ON, matching how KOLA_INTERN parses. The old set-vs-unset
-  // check made =0 silently disable it.
-  options.memoize_fixpoint = !EnvFlagEnabled("KOLA_NO_FIXPOINT_MEMO");
   options.use_egraph = EnvFlagEnabled("KOLA_EGRAPH");
   return options;
 }
@@ -200,14 +87,7 @@ std::optional<TermPtr> Rewriter::ApplyAtRoot(const Rule& rule,
 std::optional<TermPtr> Rewriter::ApplyOnceImpl(const Rule& rule,
                                                const TermPtr& term,
                                                std::vector<size_t>* path,
-                                               RewriteStep* step,
-                                               FixpointCache* memo,
-                                               size_t rule_index) const {
-  const bool memoizable =
-      memo != nullptr && term->node_count() >= kFixpointMemoMinNodes;
-  if (memoizable && memo->CheckFailed(rule_index, term)) {
-    return std::nullopt;
-  }
+                                               RewriteStep* step) const {
   if (auto rewritten = ApplyAtRoot(rule, term)) {
     if (step != nullptr) {
       step->rule_id = rule.id;
@@ -219,8 +99,7 @@ std::optional<TermPtr> Rewriter::ApplyOnceImpl(const Rule& rule,
   }
   for (size_t i = 0; i < term->arity(); ++i) {
     path->push_back(i);
-    if (auto rewritten =
-            ApplyOnceImpl(rule, term->child(i), path, step, memo, rule_index)) {
+    if (auto rewritten = ApplyOnceImpl(rule, term->child(i), path, step)) {
       std::vector<TermPtr> children = term->children();
       children[i] = std::move(*rewritten);
       path->pop_back();
@@ -228,10 +107,6 @@ std::optional<TermPtr> Rewriter::ApplyOnceImpl(const Rule& rule,
     }
     path->pop_back();
   }
-  // The rule fires nowhere in this subtree; a subterm's reducibility depends
-  // only on its own structure (conditions consult the fixed PropertyStore),
-  // so this fact stays true for the cache's lifetime.
-  if (memoizable) memo->RecordFailed(rule_index, term);
   return std::nullopt;
 }
 
@@ -239,7 +114,7 @@ std::optional<TermPtr> Rewriter::ApplyOnce(const Rule& rule,
                                            const TermPtr& term,
                                            RewriteStep* step) const {
   std::vector<size_t> path;
-  auto result = ApplyOnceImpl(rule, term, &path, step, nullptr, 0);
+  auto result = ApplyOnceImpl(rule, term, &path, step);
   if (result && step != nullptr) step->result = *result;
   return result;
 }
@@ -248,9 +123,9 @@ std::optional<TermPtr> Rewriter::ApplyAnyOnce(const std::vector<Rule>& rules,
                                               const TermPtr& term,
                                               RewriteStep* step) const {
   if (auto index = IndexFor(rules, RuleSetFingerprint(rules))) {
-    return IndexedApplyAnyOnce(rules, term, step, nullptr, *index);
+    return IndexedApplyAnyOnce(rules, term, step, *index);
   }
-  return ApplyAnyOnceMemo(rules, term, step, nullptr);
+  return LinearApplyAnyOnce(rules, term, step);
 }
 
 std::shared_ptr<const RuleIndex> Rewriter::IndexFor(
@@ -262,16 +137,15 @@ std::shared_ptr<const RuleIndex> Rewriter::IndexFor(
   auto it = index_pool_.find(fingerprint);
   if (it != index_pool_.end()) {
     // A fingerprint collision between different rule sets must not replay
-    // the wrong index (same defense as FixpointCache::Attune); the rare
-    // colliding set just runs linear.
+    // the wrong index; the rare colliding set just runs linear.
     return it->second->rule_count() == rules.size() ? it->second : nullptr;
   }
   std::shared_ptr<const RuleIndex> index =
       AcquireRuleIndex(rules, fingerprint);
   // Charge-before-keep: a budget that cannot afford this Rewriter's
-  // reference to the compiled tree degrades to the linear scan, exactly
-  // like a FixpointCache that stops growing -- results are identical, only
-  // speed changes.
+  // reference to the compiled tree gets the linear scan for this call, but
+  // the refused charge latches the governor's sticky stop, so the pass ends
+  // at its next probe with the best plan so far (DESIGN.md section 9).
   if (!index_charge_.Add(index->footprint_bytes()).ok()) return nullptr;
   index_pool_.emplace(fingerprint, index);
   return index;
@@ -361,7 +235,7 @@ std::vector<std::optional<TermPtr>> Rewriter::ApplyEachOnce(
 
 std::optional<TermPtr> Rewriter::IndexedApplyAnyOnce(
     const std::vector<Rule>& rules, const TermPtr& term, RewriteStep* step,
-    FixpointCache* memo, const RuleIndex& index) const {
+    const RuleIndex& index) const {
   // The linear scan's winner is "the smallest rule index that matches
   // ANYWHERE, fired at that rule's first pre-order position". One pre-order
   // descent recovers exactly that: at each node only candidates below the
@@ -380,13 +254,8 @@ std::optional<TermPtr> Rewriter::IndexedApplyAnyOnce(
   std::vector<size_t> path;
   auto visit = [&](auto&& self, const TermPtr& node) -> void {
     index.CandidatesAt(*node, &candidates);
-    const bool memoizable =
-        memo != nullptr && node->node_count() >= kFixpointMemoMinNodes;
     for (uint32_t r : candidates) {
       if (r >= best) break;  // candidates ascend: nothing below best left
-      // A memoized failure covers the whole subtree, so in particular this
-      // root position.
-      if (memoizable && memo->CheckFailed(r, node)) continue;
       if (auto rewritten = ApplyAtRoot(rules[r], node)) {
         best = r;
         best_path = path;
@@ -403,17 +272,6 @@ std::optional<TermPtr> Rewriter::IndexedApplyAnyOnce(
     }
   };
   visit(visit, term);
-  // Every rule below the winner (all of them, on a fruitless sweep) was
-  // probed at each visited node and fired nowhere, which is exactly the
-  // whole-term fact the linear scan memoizes at its root -- seed it so the
-  // NEXT sweep (or a pooled re-run of the same term) skips those root
-  // probes. Guarded by CheckFailed: RecordFailed assumes a fresh key.
-  if (memo != nullptr && term->node_count() >= kFixpointMemoMinNodes &&
-      best > 0) {
-    for (size_t r = 0; r < best; ++r) {
-      if (!memo->CheckFailed(r, term)) memo->RecordFailed(r, term);
-    }
-  }
   if (best == rules.size()) return std::nullopt;
   TermPtr result = GraftAlongPath(term, best_path, 0, best_after);
   if (step != nullptr) {
@@ -426,12 +284,12 @@ std::optional<TermPtr> Rewriter::IndexedApplyAnyOnce(
   return result;
 }
 
-std::optional<TermPtr> Rewriter::ApplyAnyOnceMemo(
-    const std::vector<Rule>& rules, const TermPtr& term, RewriteStep* step,
-    FixpointCache* memo) const {
-  for (size_t r = 0; r < rules.size(); ++r) {
+std::optional<TermPtr> Rewriter::LinearApplyAnyOnce(
+    const std::vector<Rule>& rules, const TermPtr& term,
+    RewriteStep* step) const {
+  for (const Rule& rule : rules) {
     std::vector<size_t> path;
-    auto result = ApplyOnceImpl(rules[r], term, &path, step, memo, r);
+    auto result = ApplyOnceImpl(rule, term, &path, step);
     if (result) {
       if (step != nullptr) step->result = *result;
       return result;
@@ -440,58 +298,19 @@ std::optional<TermPtr> Rewriter::ApplyAnyOnceMemo(
   return std::nullopt;
 }
 
-Rewriter::CacheStats Rewriter::PooledCacheStats() const {
-  CacheStats stats;
-  stats.caches = cache_pool_.size();
-  for (const auto& [fingerprint, cache] : cache_pool_) {
-    stats.entries += cache.size();
-    stats.hits += cache.hits();
-    stats.misses += cache.misses();
-    stats.evictions += cache.evictions();
-  }
-  return stats;
-}
-
 StatusOr<TermPtr> Rewriter::Fixpoint(const std::vector<Rule>& rules,
                                      TermPtr term, Trace* trace,
-                                     int max_steps,
-                                     FixpointCache* cache) const {
+                                     int max_steps) const {
   // Entry boundary: an unconditional clock probe, so a fixpoint entered
   // after a slow rule application (the periodic in-Charge sampling can
   // trail the deadline by hundreds of ms) stops before sweeping at all.
   if (options_.governor != nullptr) {
     KOLA_RETURN_IF_ERROR(options_.governor->CheckNow());
   }
-  const uint64_t fingerprint = RuleSetFingerprint(rules);
-  const bool small_workload =
-      term != nullptr && term->node_count() < kFixpointAccelMinTermNodes;
-  // Below the accelerator floor the memo bookkeeping costs more than the
-  // probes it saves, and hash-consing the short-lived rewrite spines is
-  // pure arena churn: run the plain sweep (identical results and traces).
-  std::optional<ScopedInterning> plain_spines;
-  if (small_workload && ActiveTermInterner() != nullptr) {
-    plain_spines.emplace(static_cast<TermInterner*>(nullptr));
-  }
-  FixpointCache local;
-  FixpointCache* memo = cache;
-  if (memo == nullptr && options_.memoize_fixpoint && !small_workload) {
-    if (options_.reuse_fixpoint_caches) {
-      // One pooled cache per rule-set fingerprint, reused across Fixpoint
-      // calls for the Rewriter's lifetime (Attune below keeps a hash
-      // collision from replaying a different rule set's failures).
-      memo = &cache_pool_[fingerprint];
-    } else {
-      memo = &local;
-    }
-  }
-  if (memo != nullptr) {
-    memo->Attune(fingerprint, rules.size());
-    memo->set_capacity(options_.fixpoint_cache_capacity);
-    memo->BindGovernor(options_.governor);
-  }
   // Hoisted out of the sweep loop: one pool probe per Fixpoint call, not
   // per firing.
-  const std::shared_ptr<const RuleIndex> index = IndexFor(rules, fingerprint);
+  const std::shared_ptr<const RuleIndex> index =
+      IndexFor(rules, RuleSetFingerprint(rules));
   if (trace != nullptr && trace->initial == nullptr) trace->initial = term;
   const bool faults_armed = ActiveFaultInjector() != nullptr;
   for (int i = 0; i < max_steps; ++i) {
@@ -506,8 +325,8 @@ StatusOr<TermPtr> Rewriter::Fixpoint(const std::vector<Rule>& rules,
     }
     RewriteStep step;
     auto result = index != nullptr
-                      ? IndexedApplyAnyOnce(rules, term, &step, memo, *index)
-                      : ApplyAnyOnceMemo(rules, term, &step, memo);
+                      ? IndexedApplyAnyOnce(rules, term, &step, *index)
+                      : LinearApplyAnyOnce(rules, term, &step);
     if (!result) {
       // Exit boundary: latch a just-passed deadline now (ignoring the
       // verdict -- this fixpoint's work is complete and keeps) so the next

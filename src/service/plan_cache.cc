@@ -32,8 +32,8 @@ std::optional<std::string> PlanCache::Lookup(const PlanCacheKey& key) {
 }
 
 size_t PlanCache::EvictOneLocked() {
-  // Second chance, exactly like FixpointCache::EvictOne: bounded by one
-  // full lap plus one step, and a pure function of the operation sequence.
+  // Second chance: bounded by one full lap plus one step, and a pure
+  // function of the operation sequence.
   for (;;) {
     Slot& slot = slots_[hand_];
     size_t victim = hand_;

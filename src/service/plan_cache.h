@@ -46,10 +46,10 @@ struct PlanCacheEntry {
 };
 
 /// A capacity-bounded map from PlanCacheKey to a serialized optimization
-/// outcome, with the same deterministic second-chance (clock) eviction as
-/// FixpointCache: a hit sets the entry's referenced bit, and at capacity
-/// the hand sweeps the insertion-ordered ring clearing bits until it finds
-/// an unreferenced victim. Eviction is purely a function of the
+/// outcome, with deterministic second-chance (clock) eviction: a hit sets
+/// the entry's referenced bit, and at capacity the hand sweeps the
+/// insertion-ordered ring clearing bits until it finds an unreferenced
+/// victim. Eviction is purely a function of the
 /// lookup/insert sequence -- no wall clock, no pointers -- so a replayed
 /// request stream reproduces the exact same hit/miss/evict trace.
 ///

@@ -422,12 +422,7 @@ void OptimizationService::ReviveEntries(const PlanSnapshot& snapshot,
       ++*skipped;
       continue;
     }
-    // Same first-tag-wins discipline as Handle: parse outside any
-    // interning region, then let the key interner canonicalize.
-    StatusOr<TermPtr> parsed = [&] {
-      ScopedInterning no_interning(static_cast<TermInterner*>(nullptr));
-      return ParseQuery(entry.term_text);
-    }();
+    StatusOr<TermPtr> parsed = ParseQuery(entry.term_text);
     if (!parsed.ok()) {
       ++*skipped;
       continue;
@@ -600,15 +595,7 @@ ServiceResponse OptimizationService::Handle(const ServiceRequest& request) {
     return finish();
   }
 
-  // Parse OUTSIDE any interning region: TermInterner tags are first-wins,
-  // so the key interner below must be the first arena these nodes meet --
-  // a parse tree tagged by another arena (a request arena, the global
-  // arena under KOLA_INTERN) would make IdOf return 0 and the shape
-  // silently uncacheable.
-  StatusOr<TermPtr> parsed = [&] {
-    ScopedInterning no_interning(static_cast<TermInterner*>(nullptr));
-    return ParseRequest(request.language, request.text);
-  }();
+  StatusOr<TermPtr> parsed = ParseRequest(request.language, request.text);
   if (!parsed.ok()) {
     response.status = parsed.status();
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -647,15 +634,7 @@ ServiceResponse OptimizationService::Handle(const ServiceRequest& request) {
   // tier, so repeated shapes optimize identically regardless of arrival
   // order -- a warm hit must be indistinguishable from a fresh pass.
   RetrySupervisor supervisor(optimizer.get(), retry);
-  RetryOutcome outcome;
-  {
-    // The optimizer's intermediate terms intern into a private per-request
-    // arena that dies (and is compacted) with this scope, so one request's
-    // rewrite garbage never bloats the shared key interner.
-    TermInterner request_arena;
-    ScopedInterning request_interning(&request_arena);
-    outcome = supervisor.Optimize(canonical, 0);
-  }
+  RetryOutcome outcome = supervisor.Optimize(canonical, 0);
   ReleaseOptimizer(std::move(optimizer));
 
   if (!outcome.ok() || !outcome.result.has_value()) {

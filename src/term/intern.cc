@@ -1,13 +1,9 @@
 #include "term/intern.h"
 
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "common/fault_injection.h"
-#include "common/governor.h"
-#include "common/macros.h"
 
 namespace kola {
 
@@ -27,56 +23,7 @@ std::mutex& TagMutex() {
   return *mu;
 }
 
-/// The process-wide KOLA_INTERN default, read exactly once.
-struct EnvLatch {
-  std::once_flag once;
-  bool enabled = false;
-};
-
-EnvLatch& GlobalEnvLatch() {
-  static EnvLatch* latch = new EnvLatch();
-  return *latch;
-}
-
-TermInterner*& ActiveSlot() {
-  // Per-thread slot, initialized from the latched env default the first
-  // time the thread consults it. ScopedInterning edits only this thread's
-  // slot, so concurrent workers can run interning-on and interning-off
-  // pipeline configs side by side.
-  thread_local TermInterner* active =
-      LatchGlobalInterningFromEnv() ? &GlobalTermInterner() : nullptr;
-  return active;
-}
-
 }  // namespace
-
-size_t InternMinNodes() {
-  // Latched on first use, like the KOLA_INTERN default: the floor must not
-  // move mid-run or equal terms built before and after the move would
-  // disagree on canonicality within one region.
-  static const size_t floor = [] {
-    constexpr size_t kDefault = 8;  // == engine.cc kFixpointMemoMinNodes
-    const char* raw = std::getenv("KOLA_INTERN_MIN_NODES");
-    if (raw == nullptr || *raw == '\0') return kDefault;
-    char* end = nullptr;
-    const long value = std::strtol(raw, &end, 10);
-    if (end == raw || *end != '\0' || value < 1) return kDefault;
-    return static_cast<size_t>(value);
-  }();
-  return floor;
-}
-
-bool LatchGlobalInterningFromEnv() {
-  EnvLatch& latch = GlobalEnvLatch();
-  std::call_once(latch.once,
-                 [&] { latch.enabled = EnvFlagEnabled("KOLA_INTERN"); });
-  // A KOLA_INTERN value that changed after the latch (setenv mid-run) used
-  // to mean "whichever thread touched a term first wins"; make it loud.
-  const bool kola_intern_env_unchanged_since_latch =
-      EnvFlagEnabled("KOLA_INTERN") == latch.enabled;
-  KOLA_CHECK(kola_intern_env_unchanged_since_latch);
-  return latch.enabled;
-}
 
 TermInterner::TermInterner() : epoch_(NextEpoch()) {}
 
@@ -120,27 +67,8 @@ TermPtr TermInterner::Intern(TermPtr term) {
   Shard& shard = ShardFor(node->hash());
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.canon.insert(node);
-  if (!inserted) {
-    ++shard.hits;
-    return *it;
-  }
-  // Arena growth is charged to the thread's ambient memory governor before
-  // the entry is kept: a failed charge hands the term back un-interned,
-  // exactly like an injected arena fault above -- sound, it only loses the
-  // pointer fast path. The charge is not released per-entry (the arena
-  // retains the term for the request's lifetime); a request-scoped
-  // governor's accounting simply ends with the request, and a long-lived
-  // one reads as cumulative arena occupancy.
-  const int64_t footprint = TermFootprintBytes(*node);
-  if (const Governor* governor = ActiveMemoryGovernor(); governor != nullptr) {
-    if (!governor->ChargeMemory(MemoryCategory::kInternerArena, footprint)
-             .ok()) {
-      shard.canon.erase(it);
-      return node;
-    }
-  }
-  ++shard.misses;
-  shard.bytes += footprint;
+  if (!inserted) return *it;
+  shard.bytes += TermFootprintBytes(*node);
   // First tag wins: a term already canonical in another arena keeps that
   // arena's epoch/id (it still deduplicates here through set membership).
   // Order matters for lock-free readers: id first, then epoch with release,
@@ -170,24 +98,6 @@ size_t TermInterner::size() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     total += shard.canon.size();
-  }
-  return total;
-}
-
-uint64_t TermInterner::hits() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.hits;
-  }
-  return total;
-}
-
-uint64_t TermInterner::misses() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.misses;
   }
   return total;
 }
@@ -250,36 +160,10 @@ void TermInterner::Clear() {
   }
   for (Shard& shard : shards_) {
     shard.canon.clear();
-    shard.hits = 0;
-    shard.misses = 0;
     shard.bytes = 0;
   }
   epoch_.store(NextEpoch(), std::memory_order_release);
   next_id_.store(1, std::memory_order_relaxed);
 }
-
-TermInterner& GlobalTermInterner() {
-  // Leaked intentionally: interned terms may outlive static teardown order.
-  static TermInterner* instance = new TermInterner();
-  return *instance;
-}
-
-TermInterner* ActiveTermInterner() { return ActiveSlot(); }
-
-TermInterner* ExchangeActiveTermInterner(TermInterner* interner) {
-  TermInterner*& slot = ActiveSlot();
-  TermInterner* previous = slot;
-  slot = interner;
-  return previous;
-}
-
-bool SetGlobalInterningEnabled(bool enabled) {
-  TermInterner*& slot = ActiveSlot();
-  bool previous = slot != nullptr;
-  slot = enabled ? &GlobalTermInterner() : nullptr;
-  return previous;
-}
-
-bool GlobalInterningEnabled() { return ActiveSlot() != nullptr; }
 
 }  // namespace kola

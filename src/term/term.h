@@ -124,9 +124,9 @@ class Term {
   /// rendered form (Value::ToString is deterministic). Unlike hash() it
   /// never routes through std::hash, so the value is identical across
   /// platforms and standard libraries and safe to persist (it seeds
-  /// RuleSetFingerprint, the key of the fixpoint-cache and rule-index
-  /// pools). Computed on first call and cached on the node (terms are
-  /// immutable); the walk is iterative, so deep spines are safe.
+  /// RuleSetFingerprint, the key of the rule-index pools). Computed on
+  /// first call and cached on the node (terms are immutable); the walk is
+  /// iterative, so deep spines are safe.
   uint64_t stable_hash() const;
 
   /// Cached number of nodes in this subtree (the paper's size metric).
@@ -135,17 +135,6 @@ class Term {
   /// True when the subtree contains at least one metavariable (i.e. is a
   /// pattern rather than a ground term).
   bool has_metavars() const { return has_metavars_; }
-
-  /// True when this term is the canonical representative of some
-  /// TermInterner arena (see term/intern.h).
-  bool interned() const {
-    return intern_epoch_.load(std::memory_order_acquire) != 0;
-  }
-
-  /// The dense id assigned by the interning arena, 0 when not interned.
-  TermId intern_id() const {
-    return intern_id_.load(std::memory_order_relaxed);
-  }
 
   /// Deep structural equality (pointer and hash fast paths; O(1) between
   /// terms canonicalized by the same TermInterner arena).
@@ -177,8 +166,8 @@ class Term {
   Term() = default;
 
   /// Builds a node without sort validation (callers guarantee
-  /// well-sortedness) and without interning. Used by Make after validation
-  /// and by TermInterner when rebuilding a spine over canonical children.
+  /// well-sortedness). Used by Make after validation and by TermInterner
+  /// when rebuilding a spine over canonical children.
   static TermPtr NewNode(TermKind kind, Sort sort, std::string name,
                          Value literal, bool bool_const,
                          std::vector<TermPtr> children);

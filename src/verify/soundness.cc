@@ -16,7 +16,6 @@
 #include "optimizer/retry.h"
 #include "rewrite/properties.h"
 #include "rewrite/types.h"
-#include "term/intern.h"
 #include "verify/query_gen.h"
 
 namespace kola {
@@ -27,8 +26,6 @@ namespace kola {
 
 std::string PipelineConfig::Name() const {
   std::vector<std::string> parts;
-  if (interning) parts.push_back("intern");
-  if (fixpoint_memo) parts.push_back("memo");
   if (physical_fastpaths) parts.push_back("fast");
   if (rule_index) parts.push_back("index");
   if (egraph) parts.push_back("egraph");
@@ -38,8 +35,6 @@ std::string PipelineConfig::Name() const {
 
 StatusOr<PipelineConfig> ParsePipelineConfig(const std::string& name) {
   PipelineConfig config;
-  config.interning = false;
-  config.fixpoint_memo = false;
   config.physical_fastpaths = false;
   config.rule_index = false;
   config.egraph = false;
@@ -50,11 +45,7 @@ StatusOr<PipelineConfig> ParsePipelineConfig(const std::string& name) {
     std::string part = name.substr(
         start, plus == std::string::npos ? std::string::npos : plus - start);
     bool* feature = nullptr;
-    if (part == "intern") {
-      feature = &config.interning;
-    } else if (part == "memo") {
-      feature = &config.fixpoint_memo;
-    } else if (part == "fast") {
+    if (part == "fast") {
       feature = &config.physical_fastpaths;
     } else if (part == "index") {
       feature = &config.rule_index;
@@ -63,8 +54,7 @@ StatusOr<PipelineConfig> ParsePipelineConfig(const std::string& name) {
     } else {
       return InvalidArgumentError(
           "unknown pipeline feature '" + part +
-          "' (expected intern, memo, fast, index, egraph, or the name "
-          "'plain')");
+          "' (expected fast, index, egraph, or the name 'plain')");
     }
     if (*feature) {
       return InvalidArgumentError("duplicate pipeline feature '" + part +
@@ -79,15 +69,10 @@ StatusOr<PipelineConfig> ParsePipelineConfig(const std::string& name) {
 
 std::vector<PipelineConfig> FullConfigMatrix() {
   std::vector<PipelineConfig> configs;
-  for (bool intern : {false, true}) {
-    for (bool memo : {false, true}) {
-      for (bool fast : {false, true}) {
-        for (bool index : {false, true}) {
-          for (bool egraph : {false, true}) {
-            configs.push_back(
-                PipelineConfig{intern, memo, fast, index, egraph});
-          }
-        }
+  for (bool fast : {false, true}) {
+    for (bool index : {false, true}) {
+      for (bool egraph : {false, true}) {
+        configs.push_back(PipelineConfig{fast, index, egraph});
       }
     }
   }
@@ -249,16 +234,6 @@ SoundnessHarness::RunOutcome SoundnessHarness::RunConfig(
     const TermPtr& query, const Database& db, const PipelineConfig& config,
     uint64_t fault_stream) const {
   RunOutcome out;
-  // Interning cells use a PRIVATE per-cell arena, not the shared global
-  // one: with a memory budget in play, arena growth is charged to the
-  // cell's governor, and charges against a shared arena would depend on
-  // which trials warmed it first -- an execution-order (therefore --jobs)
-  // dependence. A fresh arena makes every charge a pure function of the
-  // cell. Results never differ (interning is semantics-free either way).
-  std::optional<TermInterner> arena;
-  if (config.interning) arena.emplace();
-  ScopedInterning interning(config.interning ? &*arena : nullptr);
-  TermPtr q = config.interning ? arena->Intern(query) : query;
 
   // Ground truth: the un-optimized query under the naive nested-loop
   // semantics. Fastpaths are part of what is being tested, so they stay
@@ -268,7 +243,7 @@ SoundnessHarness::RunOutcome SoundnessHarness::RunConfig(
   Evaluator baseline(
       &db, EvalOptions{.max_steps = options_.max_eval_steps,
                        .physical_fastpaths = false});
-  auto expected = baseline.EvalObject(q);
+  auto expected = baseline.EvalObject(query);
   if (!expected.ok()) {
     out.skipped = true;
     return out;
@@ -296,7 +271,6 @@ SoundnessHarness::RunOutcome SoundnessHarness::RunConfig(
 
   PropertyStore properties = PropertyStore::Default();
   RewriterOptions engine_options;
-  engine_options.memoize_fixpoint = config.fixpoint_memo;
   engine_options.use_rule_index = config.rule_index;
   engine_options.use_egraph = config.egraph;
   Optimizer optimizer(&properties, &db, engine_options);
@@ -312,7 +286,7 @@ SoundnessHarness::RunOutcome SoundnessHarness::RunConfig(
     retry.max_attempts = options_.retries + 1;
     retry.seed = options_.seed;
     RetrySupervisor supervisor(&optimizer, retry);
-    RetryOutcome supervised = supervisor.Optimize(q, fault_stream);
+    RetryOutcome supervised = supervisor.Optimize(query, fault_stream);
     out.retried = supervised.report.attempts > 1;
     out.quarantined = supervised.report.quarantined;
     if (supervised.ok()) {
@@ -322,7 +296,7 @@ SoundnessHarness::RunOutcome SoundnessHarness::RunConfig(
     }
   } else {
     result = optimizer.Optimize(
-        q, opt_governor.has_value() ? &*opt_governor : nullptr);
+        query, opt_governor.has_value() ? &*opt_governor : nullptr);
   }
   if (!result.ok()) {
     // Exhaustion and injected faults degrade inside Optimize; an error
@@ -348,7 +322,7 @@ SoundnessHarness::RunOutcome SoundnessHarness::RunConfig(
     RewriterOptions greedy_options = engine_options;
     greedy_options.use_egraph = false;
     Optimizer greedy(&properties, &db, greedy_options);
-    auto greedy_result = greedy.Optimize(q);
+    auto greedy_result = greedy.Optimize(query);
     if (greedy_result.ok()) {
       CostModel cost_model(&db);
       auto egraph_cost = cost_model.EstimateQueryCost(result->query);

@@ -105,6 +105,21 @@ TEST(FaultInjectorTest, ScopedInjectionInstallsAndRestores) {
   EXPECT_TRUE(MaybeInjectFault(FaultSite::kRuleApplication).ok());
 }
 
+TEST(FaultInjectorTest, InternFaultHandsBackTheTermAndLeavesTheArenaEmpty) {
+  FaultInjector injector(4);
+  injector.set_rate(FaultSite::kIntern, 1.0);
+  ScopedFaultInjection scoped(&injector);
+  TermInterner arena;
+  auto raw = ParseTerm("iterate(Kp(T), city) ! P", Sort::kObject);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  TermPtr result = arena.Intern(raw.value());
+  EXPECT_EQ(result.get(), raw.value().get());
+  EXPECT_EQ(arena.IdOf(result), 0u);
+  EXPECT_EQ(arena.size(), 0u);
+  EXPECT_EQ(arena.bytes(), 0);
+  EXPECT_EQ(injector.injected(FaultSite::kIntern), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Faults through the optimizer: degrade, never corrupt.
 // ---------------------------------------------------------------------------
@@ -161,17 +176,19 @@ TEST_F(ChaosOptimizerTest, StrategyFaultDegradesToASoundPrefix) {
 }
 
 TEST_F(ChaosOptimizerTest, InternFaultsAreAbsorbedNotDegraded) {
-  // An interner allocation failure degrades to the un-interned term --
+  // An interner allocation failure (join exploration and the e-graph
+  // intern every plan they keep) degrades to the un-interned term --
   // canonicalization is a performance feature, never a correctness one --
   // so the pipeline neither errors nor reports degradation.
   FaultInjector injector(3);
   injector.set_rate(FaultSite::kIntern, 1.0);
   ScopedFaultInjection scoped(&injector);
-  ScopedInterning interning(true);
-  TermPtr query = GlobalTermInterner().Intern(GarageQueryKG1());
+  TermPtr query = GarageQueryKG1();
   Optimizer optimizer(&properties_, db_.get());
   auto result = optimizer.Optimize(query);
   ASSERT_TRUE(result.ok()) << result.status();
+  // The pipeline reached an interning site, so the fault really fired.
+  EXPECT_GT(injector.injected(FaultSite::kIntern), 0u);
   EXPECT_FALSE(result->degradation.degraded);
   EXPECT_EQ(Eval(result->query), Eval(query));
 }

@@ -8,6 +8,7 @@
 
 #include "aqua/eval.h"
 #include "aqua/parser.h"
+#include "e2e_corpus.h"
 #include "eval/evaluator.h"
 #include "oql/oql.h"
 #include "optimizer/optimizer.h"
@@ -17,55 +18,7 @@
 namespace kola {
 namespace {
 
-struct Workload {
-  const char* name;
-  const char* text;
-  bool is_oql;
-};
-
-const Workload kWorkloads[] = {
-    {"scan", "select p from p in P", true},
-    {"project", "select p.addr.city from p in P", true},
-    {"filter", "select p from p in P where p.age > 30", true},
-    {"filter-project",
-     "select p.name from p in P where p.age > 18 and p.age < 65", true},
-    {"project-then-filter",
-     "app(\\x. x.age)(sel(\\p. p.age > 25)(P))", false},
-    {"two-pass-map",
-     "app(\\a. a.city)(app(\\p. p.addr)(P))", false},
-    {"self-join",
-     "select [a.name, b.name] from a in P, b in P where a.age > b.age",
-     true},
-    {"ownership-join",
-     "select [v.make, p.name] from v in V, p in P where v in p.cars", true},
-    {"dependent-binding",
-     "select c.age from p in P, c in p.child where p.age > c.age", true},
-    {"nested-a3",
-     "app(\\p. [p, sel(\\c. c.age > 25)(p.child)])(P)", false},
-    {"nested-a4-code-motion",
-     "app(\\p. [p, sel(\\c. p.age > 25)(p.child)])(P)", false},
-    {"garage-hidden-join",
-     "app(\\v. [v, flatten(app(\\p. p.grgs)(sel(\\p. v in p.cars)(P)))])"
-     "(V)",
-     false},
-    {"flatten-children", "select c from p in P, c in p.child", true},
-    {"triple-nest",
-     "app(\\p. app(\\c. app(\\g. [p.age, [c.age, g.age]])(c.child))"
-     "(p.child))(P)",
-     false},
-    {"conditional",
-     "app(\\p. if p.age > 40 then [p, p.cars] else [p, {}])(P)", false},
-    {"explicit-join",
-     "join(\\a b. a in b.cars, \\a b. [a, b.grgs])(V, P)", false},
-    {"membership-const",
-     "select p.name from p in P where p.age in {20, 30, 40, 50}", true},
-    {"disjunction",
-     "select p from p in P where p.age < 10 or p.age > 80", true},
-    {"negation", "select p from p in P where not p.age > 50", true},
-    {"garages", "select a.city from p in P, a in p.grgs", true},
-};
-
-class E2eTest : public ::testing::TestWithParam<Workload> {
+class E2eTest : public ::testing::TestWithParam<E2eWorkload> {
  protected:
   E2eTest() {
     CarWorldOptions options;
@@ -82,7 +35,7 @@ class E2eTest : public ::testing::TestWithParam<Workload> {
 };
 
 TEST_P(E2eTest, OptimizedPlanIsEquivalentAndNoWorse) {
-  const Workload& workload = GetParam();
+  const E2eWorkload& workload = GetParam();
 
   auto aqua_query = workload.is_oql ? oql::ParseOql(workload.text)
                                     : aqua::ParseAqua(workload.text);
@@ -130,7 +83,7 @@ TEST_P(E2eTest, OptimizedPlanIsEquivalentAndNoWorse) {
       << plan->query->ToString();
 }
 
-std::string WorkloadName(const ::testing::TestParamInfo<Workload>& info) {
+std::string WorkloadName(const ::testing::TestParamInfo<E2eWorkload>& info) {
   std::string name = info.param.name;
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
@@ -138,7 +91,7 @@ std::string WorkloadName(const ::testing::TestParamInfo<Workload>& info) {
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, E2eTest, ::testing::ValuesIn(kWorkloads),
+INSTANTIATE_TEST_SUITE_P(Corpus, E2eTest, ::testing::ValuesIn(kE2eWorkloads),
                          WorkloadName);
 
 }  // namespace

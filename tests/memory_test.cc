@@ -1,19 +1,16 @@
 // Memory-budgeted optimization: byte-level accounting (common/resource.h),
-// the governor's sticky kMemory stop, the fixpoint cache's capacity-bounded
-// second-chance eviction, interner byte tracking + epoch compaction, and
-// the retry/escalation supervisor. The invariants under test:
+// the governor's sticky kMemory stop, interner byte tracking + epoch
+// compaction, and the retry/escalation supervisor. The invariants under
+// test:
 //  * a byte budget degrades or quarantines, it never aborts or unsounds,
 //  * an accounting-only governor (budget 0) never fails and never changes
 //    results,
-//  * eviction is trace-preserving: a bounded cache computes the same
-//    fixpoint as an unbounded one,
 //  * every report -- supervisor batches, the soundness sweep -- is
 //    byte-identical at every jobs level.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/governor.h"
@@ -21,7 +18,6 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/retry.h"
 #include "rewrite/engine.h"
-#include "rules/catalog.h"
 #include "term/intern.h"
 #include "term/parser.h"
 #include "values/car_world.h"
@@ -42,16 +38,15 @@ TermPtr Q(const char* text, Sort sort = Sort::kObject) {
 
 TEST(MemoryBudgetTest, ZeroBudgetAccountsButNeverExhausts) {
   MemoryBudget budget(0);
-  EXPECT_TRUE(
-      budget.Charge(MemoryCategory::kInternerArena, int64_t{1} << 30).ok());
+  EXPECT_TRUE(budget.Charge(MemoryCategory::kEGraph, int64_t{1} << 30).ok());
   EXPECT_TRUE(budget.Charge(MemoryCategory::kEvalScratch, 512).ok());
-  EXPECT_EQ(budget.charged(MemoryCategory::kInternerArena), int64_t{1} << 30);
+  EXPECT_EQ(budget.charged(MemoryCategory::kEGraph), int64_t{1} << 30);
   EXPECT_EQ(budget.charged(MemoryCategory::kEvalScratch), 512);
   EXPECT_EQ(budget.total_charged(), (int64_t{1} << 30) + 512);
   EXPECT_EQ(budget.peak_bytes(), (int64_t{1} << 30) + 512);
   EXPECT_FALSE(budget.exhausted());
 
-  budget.Release(MemoryCategory::kInternerArena, int64_t{1} << 30);
+  budget.Release(MemoryCategory::kEGraph, int64_t{1} << 30);
   budget.Release(MemoryCategory::kEvalScratch, 512);
   EXPECT_EQ(budget.total_charged(), 0);
   // Peak is a high-water mark; releases never lower it.
@@ -60,13 +55,13 @@ TEST(MemoryBudgetTest, ZeroBudgetAccountsButNeverExhausts) {
 
 TEST(MemoryBudgetTest, OverchargeRollsBackLatchesAndRaisesPeak) {
   MemoryBudget budget(100);
-  EXPECT_TRUE(budget.Charge(MemoryCategory::kFixpointCache, 60).ok());
-  Status over = budget.Charge(MemoryCategory::kFixpointCache, 60);
+  EXPECT_TRUE(budget.Charge(MemoryCategory::kRuleIndex, 60).ok());
+  Status over = budget.Charge(MemoryCategory::kRuleIndex, 60);
   EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(budget.exhausted());
   // The failed charge was rolled back (the caller must not allocate) but
   // the attempt still shows in the peak.
-  EXPECT_EQ(budget.charged(MemoryCategory::kFixpointCache), 60);
+  EXPECT_EQ(budget.charged(MemoryCategory::kRuleIndex), 60);
   EXPECT_EQ(budget.total_charged(), 60);
   EXPECT_EQ(budget.peak_bytes(), 120);
   // Sticky: even a 1-byte charge that would fit now fails.
@@ -116,8 +111,8 @@ TEST(MemoryChargeTest, MoveTransfersOwnershipOfHeldBytes) {
 
 TEST(GovernorMemoryTest, MemoryExhaustionIsStickyAcrossAllProbes) {
   Governor governor{Governor::Limits{.memory_budget_bytes = 64}};
-  EXPECT_TRUE(governor.ChargeMemory(MemoryCategory::kFixpointCache, 64).ok());
-  Status over = governor.ChargeMemory(MemoryCategory::kFixpointCache, 1);
+  EXPECT_TRUE(governor.ChargeMemory(MemoryCategory::kRuleIndex, 64).ok());
+  Status over = governor.ChargeMemory(MemoryCategory::kRuleIndex, 1);
   EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(over.message().find("memory budget"), std::string::npos);
   EXPECT_EQ(governor.cause(), Governor::StopCause::kMemory);
@@ -125,7 +120,7 @@ TEST(GovernorMemoryTest, MemoryExhaustionIsStickyAcrossAllProbes) {
   EXPECT_FALSE(governor.Charge().ok());
   EXPECT_FALSE(governor.CheckNow().ok());
   // Releasing never un-stops (degradation already happened).
-  governor.ReleaseMemory(MemoryCategory::kFixpointCache, 64);
+  governor.ReleaseMemory(MemoryCategory::kRuleIndex, 64);
   EXPECT_TRUE(governor.stopped());
   EXPECT_FALSE(governor.ChargeMemory(MemoryCategory::kEvalScratch, 1).ok());
 }
@@ -142,130 +137,10 @@ TEST(GovernorMemoryTest, FirstCauseWins) {
 }
 
 // ---------------------------------------------------------------------------
-// FixpointCache: capacity-bounded second-chance eviction
-// ---------------------------------------------------------------------------
-
-TEST(FixpointCacheEvictionTest, CapacityBoundHoldsAndEvictionsCount) {
-  // A rule that fires nowhere in the query, so one converged sweep records
-  // a failed-match entry for every subtree above the memo's size floor.
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> rules = {FindRule(all, "ext.inv-inv")};
-  TermPtr q = Q(
-      "((lt @ (age, Kf(1)) & lt @ (age, Kf(2))) &"
-      " (lt @ (age, Kf(3)) & lt @ (age, Kf(4)))) &"
-      "((lt @ (age, Kf(5)) & lt @ (age, Kf(6))) &"
-      " (lt @ (age, Kf(7)) & lt @ (age, Kf(8))))",
-      Sort::kPredicate);
-
-  RewriterOptions unbounded_options;
-  unbounded_options.fixpoint_cache_capacity = 0;  // unbounded
-  // The linear scan records a failure entry per probed subtree -- the
-  // population this test needs; the indexed scan only seeds whole-term
-  // entries (it prunes the probes the memo would have skipped).
-  unbounded_options.use_rule_index = false;
-  Rewriter unbounded_rw(nullptr, unbounded_options);
-  FixpointCache unbounded;
-  ASSERT_TRUE(
-      unbounded_rw.Fixpoint(rules, q, nullptr, 10'000, &unbounded).ok());
-  ASSERT_GT(unbounded.size(), 2u) << "query too small to exercise eviction";
-  EXPECT_EQ(unbounded.evictions(), 0u);
-
-  RewriterOptions bounded_options;
-  bounded_options.fixpoint_cache_capacity = 2;
-  bounded_options.use_rule_index = false;
-  Rewriter bounded_rw(nullptr, bounded_options);
-  FixpointCache bounded;
-  auto bounded_result = bounded_rw.Fixpoint(rules, q, nullptr, 10'000,
-                                            &bounded);
-  ASSERT_TRUE(bounded_result.ok());
-  EXPECT_TRUE(Term::Equal(bounded_result.value(), q));
-  EXPECT_LE(bounded.size(), 2u);
-  EXPECT_EQ(bounded.evictions(), unbounded.size() - 2);
-}
-
-TEST(FixpointCacheEvictionTest, BoundedCacheComputesSameFixpoint) {
-  // A real rewriting workload (the Figure 4 style fusion pipeline): the
-  // memo is only a negative-match filter, so losing entries to eviction
-  // must never change the result or the trace -- only cost re-probes.
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> rules;
-  for (const char* id :
-       {"norm.fold", "norm.assoc", "11", "6", "5", "1", "2",
-        "ext.and-true-right"}) {
-    rules.push_back(FindRule(all, id));
-  }
-  TermPtr q =
-      Q("iterate(Kp(T), city) o iterate(gt @ (age, Kf(25)), id) ! P");
-
-  Trace unbounded_trace;
-  auto unbounded = Rewriter().Fixpoint(rules, q, &unbounded_trace);
-  ASSERT_TRUE(unbounded.ok());
-
-  for (size_t capacity : {1u, 2u, 3u}) {
-    RewriterOptions options;
-    options.fixpoint_cache_capacity = capacity;
-    Rewriter rewriter(nullptr, options);
-    FixpointCache cache;
-    Trace trace;
-    auto bounded = rewriter.Fixpoint(rules, q, &trace, 10'000, &cache);
-    ASSERT_TRUE(bounded.ok()) << "capacity " << capacity;
-    EXPECT_TRUE(Term::Equal(bounded.value(), unbounded.value()))
-        << "capacity " << capacity;
-    EXPECT_EQ(trace.ToString(), unbounded_trace.ToString())
-        << "capacity " << capacity;
-    EXPECT_LE(cache.size(), capacity);
-  }
-}
-
-TEST(FixpointCacheEvictionTest, RehitAfterEvictionStillCorrect) {
-  // Re-running the same converged term through a capacity-1 cache: every
-  // sweep evicts and re-records, and the answer never changes.
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> rules = {FindRule(all, "ext.inv-inv")};
-  TermPtr q = Q("(lt @ (age, Kf(1)) & lt @ (age, Kf(2))) & lt @ (age, Kf(3))",
-                Sort::kPredicate);
-  RewriterOptions options;
-  options.fixpoint_cache_capacity = 1;
-  Rewriter rewriter(nullptr, options);
-  FixpointCache cache;
-  for (int round = 0; round < 3; ++round) {
-    auto result = rewriter.Fixpoint(rules, q, nullptr, 10'000, &cache);
-    ASSERT_TRUE(result.ok()) << "round " << round;
-    EXPECT_TRUE(Term::Equal(result.value(), q));
-  }
-  EXPECT_LE(cache.size(), 1u);
-  EXPECT_GT(cache.misses(), 0u);
-}
-
-TEST(FixpointCacheEvictionTest, ChargesReleasedOnEviction) {
-  Governor governor{Governor::Limits{}};
-  RewriterOptions options;
-  options.fixpoint_cache_capacity = 2;
-  options.governor = &governor;
-  Rewriter rewriter(nullptr, options);
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> rules = {FindRule(all, "ext.inv-inv")};
-  TermPtr q = Q(
-      "((lt @ (age, Kf(1)) & lt @ (age, Kf(2))) &"
-      " (lt @ (age, Kf(3)) & lt @ (age, Kf(4)))) & lt @ (age, Kf(5))",
-      Sort::kPredicate);
-  FixpointCache cache;
-  ASSERT_TRUE(rewriter.Fixpoint(rules, q, nullptr, 10'000, &cache).ok());
-  // Live bytes track live entries: evicted entries were released, so the
-  // governor holds exactly size() * EntryFootprintBytes().
-  EXPECT_EQ(governor.memory().charged(MemoryCategory::kFixpointCache),
-            static_cast<int64_t>(cache.size()) *
-                FixpointCache::EntryFootprintBytes());
-  cache.Reset();
-  EXPECT_EQ(governor.memory().charged(MemoryCategory::kFixpointCache), 0);
-}
-
-// ---------------------------------------------------------------------------
 // TermInterner: byte tracking and epoch compaction
 // ---------------------------------------------------------------------------
 
 TEST(InternerMemoryTest, BytesTrackInsertionsAndCompactDropsUnreachable) {
-  ScopedInterning off(false);  // pin construction-time interning off
   TermInterner interner;
   EXPECT_EQ(interner.bytes(), 0);
   {
@@ -285,52 +160,31 @@ TEST(InternerMemoryTest, BytesTrackInsertionsAndCompactDropsUnreachable) {
   EXPECT_EQ(interner.bytes(), 0);
 }
 
-TEST(InternerMemoryTest, ScopedArenaCompactsOnScopeExit) {
-  ScopedInterning off(false);
-  TermInterner arena;
-  TermPtr kept;
-  size_t size_inside = 0;
-  {
-    ScopedInterning scope(&arena);
-    ASSERT_EQ(ActiveTermInterner(), &arena);
-    // Above the small-term floor, so Make routes through the arena.
-    kept = Q("iterate(lt @ (age, Kf(30)), age) ! P");
-    Q("iterate(lt @ (age, Kf(30)), city) ! P");  // dropped pre-scope-exit
-    size_inside = arena.size();
-    ASSERT_GT(size_inside, 0u);
-  }
-  // Scope exit compacted: the dropped query's unshared nodes are gone,
-  // everything `kept` still references survives.
-  EXPECT_LT(arena.size(), size_inside);
-  EXPECT_GT(arena.size(), 0u);
-  EXPECT_EQ(ActiveTermInterner(), nullptr);
-  // The survivor is still canonical in the arena.
-  EXPECT_EQ(arena.Intern(Q("iterate(lt @ (age, Kf(30)), age) ! P")).get(),
-            kept.get());
-}
-
-TEST(InternerMemoryTest, ChargesGoToAmbientGovernorAndFailureIsSound) {
-  ScopedInterning off(false);
-  Governor governor{Governor::Limits{}};
+// A partial compaction, as the service runs on its key interner while live
+// cache entries still hold their keys: the dropped term's unshared nodes go,
+// the kept term stays canonical under the same id.
+TEST(InternerMemoryTest, PartialCompactKeepsLiveTermsCanonical) {
   TermInterner interner;
-  {
-    ScopedMemoryGovernor scope(&governor);
-    interner.Intern(Q("iterate(Kp(T), age) ! P"));
-  }
-  EXPECT_EQ(governor.memory().charged(MemoryCategory::kInternerArena),
-            interner.bytes());
+  TermPtr kept = interner.Intern(Q("iterate(lt @ (age, Kf(30)), age) ! P"));
+  ASSERT_NE(kept, nullptr);
+  const TermId kept_id = interner.IdOf(kept);
+  ASSERT_NE(kept_id, 0u);
+  // Shares the `lt @ (age, Kf(30))` subtree and `P` with `kept`.
+  ASSERT_NE(interner.Intern(Q("iterate(lt @ (age, Kf(30)), city) ! P")),
+            nullptr);  // dropped at once
+  const size_t size_before = interner.size();
+  const int64_t bytes_before = interner.bytes();
 
-  // Exhausted budget: interning still returns a correct (just un-interned)
-  // term, and the arena does not grow past the failure.
-  Governor tiny{Governor::Limits{.memory_budget_bytes = 1}};
-  TermInterner starved;
-  ScopedMemoryGovernor scope(&tiny);
-  TermPtr raw = Q("iterate(Kp(T), city) ! P");
-  TermPtr result = starved.Intern(raw);
-  ASSERT_NE(result, nullptr);
-  EXPECT_TRUE(Term::Equal(result, raw));
-  EXPECT_EQ(starved.size(), 0u);
-  EXPECT_EQ(tiny.cause(), Governor::StopCause::kMemory);
+  EXPECT_GT(interner.Compact(), 0u);
+  EXPECT_LT(interner.size(), size_before);
+  EXPECT_GT(interner.size(), 0u);
+  EXPECT_LT(interner.bytes(), bytes_before);
+  EXPECT_GT(interner.bytes(), 0);
+
+  // A fresh, equal copy of the survivor canonicalizes to it, id unchanged.
+  EXPECT_EQ(interner.Intern(Q("iterate(lt @ (age, Kf(30)), age) ! P")).get(),
+            kept.get());
+  EXPECT_EQ(interner.IdOf(kept), kept_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +291,6 @@ TEST_F(BudgetedOptimizerTest, SupervisorQuarantinesAtMaxEscalation) {
 }
 
 TEST_F(BudgetedOptimizerTest, SupervisorBatchIsJobsInvariant) {
-  ScopedInterning off(false);  // charges must be a pure function of the query
   Optimizer optimizer(&properties_, db_.get());
   std::vector<TermPtr> queries = {
       Q("iterate(Kp(T), age) o iterate(gt @ (age, Kf(25)), id) ! P"),
@@ -471,55 +324,6 @@ TEST_F(BudgetedOptimizerTest, SupervisorBatchIsJobsInvariant) {
     EXPECT_EQ(serial[i].result->degradation.ToString(),
               parallel[i].result->degradation.ToString())
         << i;
-    any_retried = any_retried || serial[i].report.attempts > 1;
-  }
-  // The budget above is tuned so the sweep exercises the retry path; if
-  // this fires, lower it rather than losing the coverage.
-  EXPECT_TRUE(any_retried) << "budget too generous: nothing retried";
-}
-
-TEST_F(BudgetedOptimizerTest, SupervisorBatchPooledCacheStatsJobsInvariant) {
-  ScopedInterning off(false);  // charges must be a pure function of the query
-  Optimizer optimizer(&properties_, db_.get());
-  std::vector<TermPtr> queries = {
-      Q("iterate(Kp(T), age) o iterate(gt @ (age, Kf(25)), id) ! P"),
-      Q("iterate(Kp(T), city) o iterate(Kp(T), addr) ! P"),
-      Q("iterate(gt @ (age, Kf(30)), name) ! P"),
-      Q("iterate(Kp(T), id) ! V"),
-      Q("iterate(Kp(T), age) ! P"),
-  };
-  RetryOptions retry;
-  retry.memory_budget_bytes = 700;
-  retry.max_attempts = 4;
-  RetrySupervisor supervisor(&optimizer, retry);
-
-  auto key = [](const Rewriter::CacheStats& s) {
-    return std::tuple(s.caches, s.entries, s.hits, s.misses, s.evictions);
-  };
-  const auto before = key(optimizer.rewriter().PooledCacheStats());
-  auto serial = supervisor.OptimizeAll(queries, 1);
-  const auto after_serial = key(optimizer.rewriter().PooledCacheStats());
-  auto parallel = supervisor.OptimizeAll(queries, 3);
-  const auto after_parallel = key(optimizer.rewriter().PooledCacheStats());
-
-  // Governed supervised passes run on per-call Rewriter clones, never on
-  // the member rewriter, so the pooled fixpoint-cache counters must not
-  // depend on how the batch was scheduled -- a serial batch is not
-  // secretly warmer than a parallel one. If these ever diverge, pool the
-  // clone caches (RewriterOptions::reuse_fixpoint_caches) instead of
-  // letting the serial path cheat.
-  EXPECT_EQ(after_serial, after_parallel);
-  EXPECT_EQ(before, after_serial);
-
-  ASSERT_EQ(serial.size(), queries.size());
-  ASSERT_EQ(parallel.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(serial[i].ok()) << i << ": " << serial[i].status;
-    ASSERT_TRUE(parallel[i].ok()) << i << ": " << parallel[i].status;
-    EXPECT_EQ(serial[i].report.attempts, parallel[i].report.attempts) << i;
-    EXPECT_TRUE(
-        Term::Equal(serial[i].result->query, parallel[i].result->query))
-        << i;
     // Byte accounting is part of the determinism contract too: the peak
     // high-water marks (total and per category) fold over per-attempt
     // governors, which are a pure function of (query, options, index).
@@ -531,7 +335,11 @@ TEST_F(BudgetedOptimizerTest, SupervisorBatchPooledCacheStatsJobsInvariant) {
                 parallel[i].report.category_peak_bytes[c])
           << i << " category " << c;
     }
+    any_retried = any_retried || serial[i].report.attempts > 1;
   }
+  // The budget above is tuned so the sweep exercises the retry path; if
+  // this fires, lower it rather than losing the coverage.
+  EXPECT_TRUE(any_retried) << "budget too generous: nothing retried";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "aqua/parser.h"
+#include "e2e_corpus.h"
 #include "eval/evaluator.h"
+#include "oql/oql.h"
 #include "optimizer/code_motion.h"
 #include "optimizer/cost.h"
 #include "optimizer/hidden_join.h"
 #include "optimizer/optimizer.h"
 #include "term/parser.h"
+#include "translate/translate.h"
 #include "values/car_world.h"
 
 namespace kola {
@@ -184,7 +193,7 @@ TEST_F(OptimizerTest, OptimizeAllMatchesPerQueryOptimize) {
       ParseTerm("iterate(Kp(T), age) ! P", Sort::kObject).value(),
       ParseTerm("join(eq @ (age x age), (pi1, pi2)) ! [P, P]",
                 Sort::kObject).value(),
-      GarageQueryKG1(), QueryK4(),  // repeats exercise the pooled caches
+      GarageQueryKG1(), QueryK4(),  // repeats must not change a plan
   };
 
   std::vector<OptimizeResult> expected;
@@ -212,6 +221,77 @@ TEST_F(OptimizerTest, OptimizeAllMatchesPerQueryOptimize) {
       EXPECT_FALSE(got.degradation.degraded);
       EXPECT_EQ(got.trace.RuleIds(), expected[i].trace.RuleIds())
           << "jobs=" << jobs << " i=" << i;
+    }
+  }
+}
+
+/// Everything an optimization result reports, rendered exactly: the plan,
+/// the candidate, every trace step, the blocks, and the costs as hex floats.
+std::string ResultBytes(const OptimizeResult& result) {
+  std::string out = result.query->ToString() + "\n" +
+                    result.rewritten->ToString() + "\n" +
+                    result.trace.ToString();
+  for (const std::string& id : result.trace.RuleIds()) out += id + " ";
+  out += "\n";
+  for (const std::string& block : result.applied_blocks) out += block + " ";
+  char costs[96];
+  std::snprintf(costs, sizeof(costs), "\n%a %a %d %s", result.cost_before,
+                result.cost_after, result.kept_rewrite ? 1 : 0,
+                result.degradation.ToString().c_str());
+  return out + costs;
+}
+
+TEST_F(OptimizerTest, SharedOptimizerMatchesSequentialRunAcrossThreads) {
+  // The Optimizer holds no per-query state, so threads may share one
+  // instance: the e2e corpus plus hidden joins of depth 2-6, optimized by
+  // four threads at once, must reproduce the sequential results byte for
+  // byte.
+  std::vector<TermPtr> queries;
+  Translator translator;
+  for (const E2eWorkload& workload : kE2eWorkloads) {
+    auto aqua_query = workload.is_oql ? oql::ParseOql(workload.text)
+                                      : aqua::ParseAqua(workload.text);
+    ASSERT_TRUE(aqua_query.ok()) << workload.name << ": "
+                                 << aqua_query.status();
+    auto kola_query = translator.TranslateQuery(aqua_query.value());
+    ASSERT_TRUE(kola_query.ok()) << workload.name << ": "
+                                 << kola_query.status();
+    queries.push_back(kola_query.value());
+  }
+  for (int depth = 2; depth <= 6; ++depth) {
+    auto hidden_join = MakeHiddenJoinQuery(depth);
+    ASSERT_TRUE(hidden_join.ok()) << hidden_join.status();
+    queries.push_back(hidden_join.value());
+  }
+
+  Optimizer optimizer(&properties_, db_.get());
+  std::vector<std::string> expected;
+  for (const TermPtr& query : queries) {
+    auto result = optimizer.Optimize(query);
+    ASSERT_TRUE(result.ok()) << result.status();
+    expected.push_back(ResultBytes(*result));
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> got(
+      kThreads, std::vector<std::string>(queries.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different query, so the threads are
+      // optimizing different shapes at the same moment.
+      for (size_t k = 0; k < queries.size(); ++k) {
+        size_t i = (k + t * queries.size() / kThreads) % queries.size();
+        auto result = optimizer.Optimize(queries[i]);
+        got[t][i] = result.ok() ? ResultBytes(*result)
+                                : result.status().ToString();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[t][i], expected[i]) << "thread " << t << " query " << i;
     }
   }
 }

@@ -30,7 +30,7 @@ TEST(SoundnessHarnessTest, BoundedSweepIsClean) {
   EXPECT_EQ(report->trials, 40);
   // The sweep must actually exercise the pipeline, not skip everything.
   EXPECT_GT(report->evaluated, report->trials / 2);
-  EXPECT_EQ(report->config_runs, report->evaluated * 32);
+  EXPECT_EQ(report->config_runs, report->evaluated * 8);
   EXPECT_EQ(report->cost_regressions, 0);
 }
 
@@ -107,13 +107,11 @@ TEST(SoundnessHarnessTest, CheckQueryCleanOnSoundQuery) {
 }
 
 TEST(PipelineConfigTest, NameRoundTrips) {
-  // All 32 matrix cells: Name() -> ParsePipelineConfig is the identity.
-  ASSERT_EQ(FullConfigMatrix().size(), 32u);
+  // All 8 matrix cells: Name() -> ParsePipelineConfig is the identity.
+  ASSERT_EQ(FullConfigMatrix().size(), 8u);
   for (const PipelineConfig& config : FullConfigMatrix()) {
     auto parsed = ParsePipelineConfig(config.Name());
     ASSERT_TRUE(parsed.ok()) << config.Name();
-    EXPECT_EQ(parsed->interning, config.interning);
-    EXPECT_EQ(parsed->fixpoint_memo, config.fixpoint_memo);
     EXPECT_EQ(parsed->physical_fastpaths, config.physical_fastpaths);
     EXPECT_EQ(parsed->rule_index, config.rule_index);
     EXPECT_EQ(parsed->egraph, config.egraph);
@@ -123,32 +121,48 @@ TEST(PipelineConfigTest, NameRoundTrips) {
 }
 
 TEST(PipelineConfigTest, PlainNamesTheAllOffCell) {
-  PipelineConfig all_off{false, false, false, false};
+  PipelineConfig all_off{false, false, false};
   EXPECT_EQ(all_off.Name(), "plain");
   auto parsed = ParsePipelineConfig("plain");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->interning);
-  EXPECT_FALSE(parsed->fixpoint_memo);
   EXPECT_FALSE(parsed->physical_fastpaths);
   EXPECT_FALSE(parsed->rule_index);
+  EXPECT_FALSE(parsed->egraph);
 }
 
 TEST(PipelineConfigTest, ParseRejectsMalformedNames) {
   // Duplicated features.
-  auto dup = ParsePipelineConfig("memo+memo");
+  auto dup = ParsePipelineConfig("fast+fast");
   ASSERT_FALSE(dup.ok());
   EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos)
       << dup.status();
-  EXPECT_FALSE(ParsePipelineConfig("intern+fast+intern").ok());
+  EXPECT_FALSE(ParsePipelineConfig("index+fast+index").ok());
   // Unknown features, including 'plain' used as a feature token.
   EXPECT_FALSE(ParsePipelineConfig("").ok());
-  EXPECT_FALSE(ParsePipelineConfig("intern+warp").ok());
-  EXPECT_FALSE(ParsePipelineConfig("plain+memo").ok());
-  EXPECT_FALSE(ParsePipelineConfig("memo+plain").ok());
+  EXPECT_FALSE(ParsePipelineConfig("index+warp").ok());
+  EXPECT_FALSE(ParsePipelineConfig("plain+fast").ok());
+  EXPECT_FALSE(ParsePipelineConfig("fast+plain").ok());
   // Empty token from a trailing or doubled '+'.
-  EXPECT_FALSE(ParsePipelineConfig("intern+").ok());
-  EXPECT_FALSE(ParsePipelineConfig("+memo").ok());
-  EXPECT_FALSE(ParsePipelineConfig("intern++fast").ok());
+  EXPECT_FALSE(ParsePipelineConfig("index+").ok());
+  EXPECT_FALSE(ParsePipelineConfig("+fast").ok());
+  EXPECT_FALSE(ParsePipelineConfig("index++fast").ok());
+}
+
+TEST(PipelineConfigTest, RetiredAxesFailLoudly) {
+  // The interning and fixpoint-memo axes are gone. An old replay line that
+  // names them must fail and say what is valid, not silently run a
+  // different cell.
+  for (const char* name :
+       {"intern", "memo", "memo+fast", "intern+memo+fast+index+egraph"}) {
+    auto parsed = ParsePipelineConfig(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+    const std::string& message = parsed.status().message();
+    for (const char* token : {"fast", "index", "egraph", "plain"}) {
+      EXPECT_NE(message.find(token), std::string::npos)
+          << name << ": " << message;
+    }
+  }
 }
 
 TEST(SoundnessHarnessTest, JobsDoNotChangeTheCleanReport) {
