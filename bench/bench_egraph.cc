@@ -12,10 +12,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/macros.h"
@@ -60,58 +62,65 @@ std::vector<Workload> MakeWorkloads() {
   return workloads;
 }
 
+/// A wall-clock sample set's median and range, in ms.
+struct Timing {
+  std::vector<double> samples;
+  double median = 0;
+  double min = 0;
+  double max = 0;
+
+  void Summarize() {
+    std::sort(samples.begin(), samples.end());
+    median = samples[samples.size() / 2];
+    min = samples.front();
+    max = samples.back();
+  }
+};
+
 struct Row {
   std::string name;
   bool hidden_join = false;
   double greedy_cost = 0;
   double egraph_cost = 0;
   bool cheaper = false;      // egraph strictly beat greedy
-  double greedy_ms = 0;      // best-of-reps wall clock
-  double egraph_ms = 0;
+  Timing greedy_ms;
+  Timing egraph_ms;
   EGraphStats stats;         // from the egraph run
 };
 
-/// One workload through both pipelines. Timing is best-of-`repetitions`;
-/// costs come from the final rep (plans are deterministic, so every rep
-/// produces the same pair).
-Row MeasureWorkload(const Workload& workload, Optimizer* greedy,
-                    Optimizer* saturating, const CostModel& model,
-                    int repetitions) {
-  Row row;
-  row.name = workload.name;
-  row.hidden_join = workload.hidden_join;
-  TermPtr greedy_plan;
-  TermPtr egraph_plan;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    auto base = greedy->Optimize(workload.query);
-    auto mid = std::chrono::steady_clock::now();
-    auto with = saturating->Optimize(workload.query);
-    auto end = std::chrono::steady_clock::now();
-    KOLA_CHECK_OK(base.status());
-    KOLA_CHECK_OK(with.status());
-    KOLA_CHECK(!with->degradation.degraded);
-    double greedy_ms =
-        std::chrono::duration<double, std::milli>(mid - start).count();
-    double egraph_ms =
-        std::chrono::duration<double, std::milli>(end - mid).count();
-    if (rep == 0 || greedy_ms < row.greedy_ms) row.greedy_ms = greedy_ms;
-    if (rep == 0 || egraph_ms < row.egraph_ms) row.egraph_ms = egraph_ms;
-    greedy_plan = base->query;
-    egraph_plan = with->query;
-    row.stats = with->egraph;
-  }
-  auto greedy_cost = model.EstimateQueryCost(greedy_plan);
-  auto egraph_cost = model.EstimateQueryCost(egraph_plan);
+/// One workload through both pipelines, adding one timing sample to each;
+/// costs come from the last round (plans are deterministic, so every
+/// round produces the same pair).
+void MeasureWorkload(const Workload& workload, Optimizer* greedy,
+                     Optimizer* saturating, const CostModel& model,
+                     Row* row) {
+  row->name = workload.name;
+  row->hidden_join = workload.hidden_join;
+  auto start = std::chrono::steady_clock::now();
+  auto base = greedy->Optimize(workload.query);
+  auto mid = std::chrono::steady_clock::now();
+  auto with = saturating->Optimize(workload.query);
+  auto end = std::chrono::steady_clock::now();
+  KOLA_CHECK_OK(base.status());
+  KOLA_CHECK_OK(with.status());
+  KOLA_CHECK(!with->degradation.degraded);
+  row->greedy_ms.samples.push_back(
+      std::chrono::duration<double, std::milli>(mid - start).count());
+  row->egraph_ms.samples.push_back(
+      std::chrono::duration<double, std::milli>(end - mid).count());
+  row->stats = with->egraph;
+  auto greedy_cost = model.EstimateQueryCost(base->query);
+  auto egraph_cost = model.EstimateQueryCost(with->query);
   KOLA_CHECK_OK(greedy_cost.status());
   KOLA_CHECK_OK(egraph_cost.status());
-  row.greedy_cost = greedy_cost.value();
-  row.egraph_cost = egraph_cost.value();
-  row.cheaper = row.egraph_cost < row.greedy_cost;
-  return row;
+  row->greedy_cost = greedy_cost.value();
+  row->egraph_cost = egraph_cost.value();
+  row->cheaper = row->egraph_cost < row->greedy_cost;
 }
 
-std::vector<Row> RunTable(int repetitions) {
+/// `rounds` interleaved rounds, each visiting every workload once, so a
+/// slow spell of the host spreads over all rows instead of setting one.
+std::vector<Row> RunTable(int rounds) {
   const PropertyStore properties = PropertyStore::Default();
   CarWorldOptions world;
   world.num_persons = 24;
@@ -126,29 +135,37 @@ std::vector<Row> RunTable(int repetitions) {
   Optimizer saturating(&properties, db.get(), egraph_on);
   CostModel model(db.get());
 
-  std::vector<Row> rows;
-  std::printf("== greedy vs equality saturation ==\n");
+  const std::vector<Workload> workloads = MakeWorkloads();
+  std::vector<Row> rows(workloads.size());
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t i = 0; i < workloads.size(); ++i) {
+      MeasureWorkload(workloads[i], &greedy, &saturating, model, &rows[i]);
+    }
+  }
+  std::printf("== greedy vs equality saturation (medians of %d rounds, "
+              "%u hardware threads) ==\n",
+              rounds, std::thread::hardware_concurrency());
   std::printf("%-26s  %12s  %12s  %8s  %9s  %9s  %6s  %5s  %5s\n", "workload",
               "greedy_cost", "egraph_cost", "cheaper", "greedy_ms",
               "egraph_ms", "nodes", "rules", "sat");
-  for (const Workload& workload : MakeWorkloads()) {
-    Row row = MeasureWorkload(workload, &greedy, &saturating, model,
-                              repetitions);
+  for (Row& row : rows) {
+    row.greedy_ms.Summarize();
+    row.egraph_ms.Summarize();
     std::printf("%-26s  %12.1f  %12.1f  %8s  %9.2f  %9.2f  %6llu  %5llu"
                 "  %5s\n",
                 row.name.c_str(), row.greedy_cost, row.egraph_cost,
                 row.cheaper ? "yes" : "tie",
-                row.greedy_ms, row.egraph_ms,
+                row.greedy_ms.median, row.egraph_ms.median,
                 static_cast<unsigned long long>(row.stats.nodes),
                 static_cast<unsigned long long>(row.stats.rule_applications),
                 row.stats.saturated ? "yes" : "no");
-    rows.push_back(std::move(row));
   }
   std::printf("\n");
   return rows;
 }
 
-void WriteJson(const std::vector<Row>& rows, const std::string& path) {
+void WriteJson(const std::vector<Row>& rows, int rounds,
+               const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -162,6 +179,9 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_egraph\",\n");
+  std::fprintf(f, "  \"hardware_jobs\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"rounds\": %d,\n", rounds);
   std::fprintf(f, "  \"never_worse_than_greedy\": %s,\n",
                never_worse ? "true" : "false");
   std::fprintf(f, "  \"cheaper_on_hidden_join\": %s,\n",
@@ -173,12 +193,15 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
         f,
         "    {\"name\": \"%s\", \"hidden_join\": %s, "
         "\"greedy_cost\": %.3f, \"egraph_cost\": %.3f, \"cheaper\": %s, "
-        "\"greedy_ms\": %.3f, \"egraph_ms\": %.3f, "
+        "\"greedy_ms\": %.3f, \"greedy_ms_min\": %.3f, "
+        "\"greedy_ms_max\": %.3f, \"egraph_ms\": %.3f, "
+        "\"egraph_ms_min\": %.3f, \"egraph_ms_max\": %.3f, "
         "\"egraph\": {\"nodes\": %llu, \"classes\": %llu, "
         "\"rule_applications\": %llu, \"saturated\": %s}}%s\n",
         row.name.c_str(), row.hidden_join ? "true" : "false",
         row.greedy_cost, row.egraph_cost, row.cheaper ? "true" : "false",
-        row.greedy_ms, row.egraph_ms,
+        row.greedy_ms.median, row.greedy_ms.min, row.greedy_ms.max,
+        row.egraph_ms.median, row.egraph_ms.min, row.egraph_ms.max,
         static_cast<unsigned long long>(row.stats.nodes),
         static_cast<unsigned long long>(row.stats.classes),
         static_cast<unsigned long long>(row.stats.rule_applications),
@@ -255,8 +278,9 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) out = argv[i] + 6;
     if (std::strcmp(argv[i], "--assert") == 0) check = true;
   }
-  std::vector<kola::Row> rows = kola::RunTable(3);
-  kola::WriteJson(rows, out);
+  constexpr int kRounds = 9;
+  std::vector<kola::Row> rows = kola::RunTable(kRounds);
+  kola::WriteJson(rows, kRounds, out);
   if (check) {
     int failures = kola::CheckAssertions(rows);
     if (failures != 0) return 1;

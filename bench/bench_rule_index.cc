@@ -13,11 +13,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/macros.h"
@@ -74,7 +76,7 @@ std::vector<Rule> Fig4Rules() {
 /// mode makes one shared descent testing only each node's candidates.
 std::string WholeCatalogApplyOnce(const Mode& mode, int iters) {
   Rewriter rewriter = MakeRewriter(mode);
-  std::vector<Rule> all = AllCatalogRules();
+  const CompiledRuleSet all(AllCatalogRules());
   TermPtr garage = GarageQueryKG1();
   std::string digest;
   for (int i = 0; i < iters; ++i) {
@@ -82,7 +84,7 @@ std::string WholeCatalogApplyOnce(const Mode& mode, int iters) {
     digest.clear();
     for (size_t r = 0; r < batch.size(); ++r) {
       if (batch[r].has_value()) {
-        digest += all[r].id;
+        digest += all.rules()[r].id;
         digest += ' ';
       }
     }
@@ -174,26 +176,35 @@ double TimeOnceMs(const WorkloadFn& fn, const Mode& mode, int iters) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// Medians of `repetitions` interleaved rounds, each timing both modes.
 Row Measure(const std::string& name, const WorkloadFn& fn, int iters,
             int repetitions = 9) {
   // Derivations and results must not depend on the mode.
   KOLA_CHECK(fn(kLinear, 1) == fn(kIndexed, 1));
 
+  std::vector<double> linear_ms, indexed_ms;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    linear_ms.push_back(TimeOnceMs(fn, kLinear, iters));
+    indexed_ms.push_back(TimeOnceMs(fn, kIndexed, iters));
+  }
   Row row;
   row.name = name;
-  row.linear_ms = TimeOnceMs(fn, kLinear, iters);
-  row.indexed_ms = TimeOnceMs(fn, kIndexed, iters);
-  for (int rep = 1; rep < repetitions; ++rep) {
-    row.linear_ms = std::min(row.linear_ms, TimeOnceMs(fn, kLinear, iters));
-    row.indexed_ms = std::min(row.indexed_ms, TimeOnceMs(fn, kIndexed, iters));
-  }
+  row.linear_ms = Median(std::move(linear_ms));
+  row.indexed_ms = Median(std::move(indexed_ms));
   row.speedup = row.indexed_ms > 0 ? row.linear_ms / row.indexed_ms : 0;
   return row;
 }
 
 std::vector<Row> RunTable() {
   std::vector<Row> rows;
-  std::printf("== compiled rule index vs linear scan ==\n");
+  std::printf("== compiled rule index vs linear scan (medians of 9 "
+              "interleaved rounds, %u hardware threads) ==\n",
+              std::thread::hardware_concurrency());
   std::printf("%-42s %12s %12s %9s\n", "workload", "linear(ms)",
               "indexed(ms)", "speedup");
   auto run = [&](const std::string& name, const WorkloadFn& fn, int iters) {
@@ -219,6 +230,9 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_rule_index\",\n");
+  std::fprintf(f, "  \"hardware_jobs\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"timing\": \"median of 9 interleaved rounds\",\n");
   std::fprintf(f, "  \"before\": \"linear rule scan (KOLA_NO_RULE_INDEX)\",\n");
   std::fprintf(
       f, "  \"after\": \"compiled discrimination-tree rule index\",\n");
@@ -270,7 +284,7 @@ BENCHMARK(BM_CandidatesAtGarageRoot);
 void BM_WholeCatalogApplyEachOnce(benchmark::State& state) {
   bool indexed = state.range(0) != 0;
   Rewriter rewriter = MakeRewriter(Mode{indexed});
-  std::vector<Rule> all = AllCatalogRules();
+  const CompiledRuleSet all(AllCatalogRules());
   TermPtr garage = GarageQueryKG1();
   for (auto _ : state) {
     auto batch = rewriter.ApplyEachOnce(all, garage);

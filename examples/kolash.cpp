@@ -95,7 +95,7 @@ int main() {
   RewriterOptions engine_options = RewriterOptions::Defaults();
   engine_options.governor = &session_governor;
   Optimizer optimizer(&properties, db.get(), engine_options);
-  std::vector<Rule> catalog = AllCatalogRules();
+  const Catalog& catalog = Catalog::Get();
 
   Mode mode = Mode::kOql;
   bool trace = false;
@@ -154,7 +154,7 @@ int main() {
         }
       } else if (command == "rules") {
         int shown = 0;
-        for (const Rule& rule : catalog) {
+        for (const Rule& rule : catalog.rules()) {
           if (argument.empty() ||
               rule.ToString().find(argument) != std::string::npos) {
             std::printf("  %s\n", rule.ToString().c_str());
@@ -164,15 +164,15 @@ int main() {
         std::printf("  (%d rules)\n", shown);
       } else if (command == "verify") {
         // User-typed rule id: an unknown id must report, never abort.
-        auto rule = TryFindRule(catalog, argument);
-        if (!rule.ok()) {
-          std::printf("error: %s\n", rule.status().ToString().c_str());
+        const Rule* rule = catalog.Find(argument);
+        if (rule == nullptr) {
+          std::printf("error: no rule with id '%s'\n", argument.c_str());
           continue;
         }
         SchemaTypes schema = SchemaTypes::CarWorld();
         VerifyOptions verify_options;
         verify_options.trials = 200;
-        auto outcome = VerifyRule(*rule.value(), *db, schema, verify_options);
+        auto outcome = VerifyRule(*rule, *db, schema, verify_options);
         if (!outcome.ok()) {
           std::printf("error: %s\n", outcome.status().ToString().c_str());
           continue;

@@ -45,8 +45,9 @@ struct CokoModule {
 StatusOr<CokoModule> ParseCoko(std::string_view text,
                                const std::vector<Rule>& catalog);
 
-/// The five-step hidden-join strategy written in COKO (matches
-/// HiddenJoinBlocks(); tested equivalent).
+/// The five-step hidden-join strategy written in COKO. The Catalog
+/// (rules/catalog.h) parses it, with every other phase's blocks, into the
+/// optimizer's rule blocks.
 extern const char kHiddenJoinCoko[];
 
 }  // namespace kola

@@ -1,7 +1,6 @@
 #include "coko/strategy.h"
 
 #include "common/macros.h"
-#include "rules/catalog.h"
 
 namespace kola {
 
@@ -33,6 +32,8 @@ class FirstOfStrategy : public Strategy {
   explicit FirstOfStrategy(std::vector<Rule> rules)
       : rules_(std::move(rules)) {}
 
+  const CompiledRuleSet* rules() const override { return &rules_; }
+
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     RewriteStep step;
@@ -47,7 +48,7 @@ class FirstOfStrategy : public Strategy {
   }
 
  private:
-  std::vector<Rule> rules_;
+  CompiledRuleSet rules_;
 };
 
 class SeqStrategy : public Strategy {
@@ -83,6 +84,8 @@ class ExhaustStrategy : public Strategy {
   ExhaustStrategy(std::vector<Rule> rules, int max_steps)
       : rules_(std::move(rules)), max_steps_(max_steps) {}
 
+  const CompiledRuleSet* rules() const override { return &rules_; }
+
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     size_t steps_before = trace == nullptr ? 0 : trace->steps.size();
@@ -94,7 +97,7 @@ class ExhaustStrategy : public Strategy {
   }
 
  private:
-  std::vector<Rule> rules_;
+  CompiledRuleSet rules_;
   int max_steps_;
 };
 
@@ -128,17 +131,17 @@ class RepeatStrategy : public Strategy {
 class EverywhereStrategy : public Strategy {
  public:
   explicit EverywhereStrategy(std::vector<Rule> rules)
-      : rules_(std::move(rules)),
-        fingerprint_(RuleSetFingerprint(rules_)) {}
+      : rules_(std::move(rules)) {}
+
+  const CompiledRuleSet* rules() const override { return &rules_; }
 
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     bool changed = false;
-    // One index acquisition per sweep (the fingerprint is precomputed at
-    // construction), consulted at every node below. nullptr degrades every
-    // ApplyAnyAtRoot to the plain linear probe.
-    auto index = rewriter.IndexFor(rules_, fingerprint_);
-    TermPtr result = Sweep(term, rewriter, index.get(), trace, &changed);
+    // One index lookup per sweep, consulted at every node below. nullptr
+    // degrades every ApplyAnyAtRoot to the plain linear probe.
+    const RuleIndex* index = rewriter.IndexFor(rules_);
+    TermPtr result = Sweep(term, rewriter, index, trace, &changed);
     return StrategyResult{std::move(result), changed};
   }
 
@@ -160,12 +163,12 @@ class EverywhereStrategy : public Strategy {
     }
     // Then this position, once.
     size_t fired = 0;
-    if (auto rewritten =
-            rewriter.ApplyAnyAtRoot(rules_, current, index, &fired)) {
+    if (auto rewritten = rewriter.ApplyAnyAtRoot(rules_.rules(), current,
+                                                 index, &fired)) {
       if (trace != nullptr) {
         if (trace->initial == nullptr) trace->initial = term;
         trace->steps.push_back(
-            RewriteStep{rules_[fired].id, {}, current, *rewritten,
+            RewriteStep{rules_.rules()[fired].id, {}, current, *rewritten,
                         *rewritten});
       }
       *changed = true;
@@ -174,18 +177,8 @@ class EverywhereStrategy : public Strategy {
     return current;
   }
 
-  std::vector<Rule> rules_;
-  uint64_t fingerprint_;
+  CompiledRuleSet rules_;
 };
-
-/// Collects the catalog rules with the given ids.
-std::vector<Rule> CatalogRules(const std::vector<std::string>& ids) {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> selected;
-  selected.reserve(ids.size());
-  for (const std::string& id : ids) selected.push_back(FindRule(all, id));
-  return selected;
-}
 
 }  // namespace
 
@@ -211,31 +204,6 @@ StrategyPtr Repeat(StrategyPtr body, int max_rounds) {
 
 StrategyPtr Everywhere(std::vector<Rule> rules) {
   return std::make_shared<EverywhereStrategy>(std::move(rules));
-}
-
-RuleBlock CnfBlock() {
-  return RuleBlock(
-      "convert predicates to CNF",
-      Exhaust(CatalogRules({"ext.not-not", "ext.demorgan-and",
-                            "ext.demorgan-or", "ext.cnf-dist-left",
-                            "ext.cnf-dist-right"})));
-}
-
-RuleBlock PushSelectsPastJoinsBlock() {
-  return RuleBlock("push selects past joins",
-                   Exhaust(CatalogRules({"ext.select-past-join-left",
-                                         "ext.select-past-join-right"})));
-}
-
-RuleBlock SimplifyBlock() {
-  return RuleBlock(
-      "simplify",
-      Exhaust(CatalogRules(
-          {"1", "2", "3", "4", "5", "6", "8", "9", "10", "18",
-           "ext.and-true-right", "ext.and-false", "ext.or-true",
-           "ext.or-false", "ext.product-id", "ext.con-true", "ext.con-false",
-           "ext.con-same", "ext.not-not", "ext.inv-inv", "ext.iterate-false",
-           "norm.id-apply"})));
 }
 
 }  // namespace kola

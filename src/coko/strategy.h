@@ -34,6 +34,11 @@ class Strategy {
   virtual StatusOr<StrategyResult> Run(const TermPtr& term,
                                        const Rewriter& rewriter,
                                        Trace* trace) const = 0;
+
+  /// The rule set a rule-set leaf (FirstOf, Exhaust, Everywhere) compiles
+  /// -- fingerprint and RuleIndex -- once, when it is built; null for Once
+  /// and the combinators.
+  virtual const CompiledRuleSet* rules() const { return nullptr; }
 };
 
 using StrategyPtr = std::shared_ptr<const Strategy>;
@@ -94,14 +99,6 @@ class RuleBlock {
   std::string name_;
   StrategyPtr strategy_;
 };
-
-/// Prebuilt blocks over the standard catalog.
-/// Rewrites predicates to conjunctive normal form.
-RuleBlock CnfBlock();
-/// Pushes component-local selections below joins.
-RuleBlock PushSelectsPastJoinsBlock();
-/// General cleanup: identity/constant/projection/conditional laws.
-RuleBlock SimplifyBlock();
 
 }  // namespace kola
 

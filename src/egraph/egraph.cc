@@ -204,14 +204,14 @@ void EGraph::Rebuild() {
 }
 
 Status EGraph::Saturate(const Rewriter& rewriter,
-                        const std::vector<Rule>& rules, uint64_t fingerprint) {
+                        const CompiledRuleSet& rule_set) {
   if (dirty_) Rebuild();
-  // nullptr when indexing is off (options / KOLA_NO_RULE_INDEX) or the
-  // budget refused the compiled tree; the linear probe below fires the
-  // same rules in the same ascending order, so the e-graph evolves
-  // identically either way (the index is an exact filter).
-  std::shared_ptr<const RuleIndex> index = rewriter.IndexFor(rules,
-                                                             fingerprint);
+  // nullptr when indexing is off (options / KOLA_NO_RULE_INDEX); the
+  // linear probe below fires the same rules in the same ascending order,
+  // so the e-graph evolves identically either way (the index is an exact
+  // filter).
+  const RuleIndex* index = rewriter.IndexFor(rule_set);
+  const std::vector<Rule>& rules = rule_set.rules();
   std::vector<uint32_t> candidates;
   size_t next = 0;
   bool capped = false;
@@ -370,11 +370,11 @@ EGraphStats EGraph::stats() const {
   return snapshot;
 }
 
-const std::vector<Rule>& SaturationRuleSet() {
-  // Leaked, like the rule catalogs: rules hold terms that may outlive
-  // static teardown order.
-  static const std::vector<Rule>* pool = [] {
-    auto* rules = new std::vector<Rule>();
+const CompiledRuleSet& SaturationRules() {
+  // Leaked, like the Catalog: rules hold terms that may outlive static
+  // teardown order.
+  static const CompiledRuleSet* pool = [] {
+    std::vector<Rule> rules;
     std::unordered_set<std::string> seen;
     auto add = [&](const Rule& rule) {
       std::string key = rule.lhs->ToString() + " => " + rule.rhs->ToString();
@@ -382,9 +382,9 @@ const std::vector<Rule>& SaturationRuleSet() {
         key += " if " + condition.property + "(" +
                condition.pattern->ToString() + ")";
       }
-      if (seen.insert(std::move(key)).second) rules->push_back(rule);
+      if (seen.insert(std::move(key)).second) rules.push_back(rule);
     };
-    for (const Rule& rule : AllCatalogRules()) {
+    for (const Rule& rule : Catalog::Get().rules()) {
       add(rule);
       StatusOr<Rule> reversed = ReverseRule(rule);
       // Reversals that invent variables are rejected by ReverseRule;
@@ -393,14 +393,9 @@ const std::vector<Rule>& SaturationRuleSet() {
       // so they are dropped too.
       if (reversed.ok() && !reversed->lhs->is_metavar()) add(*reversed);
     }
-    return rules;
+    return new CompiledRuleSet(std::move(rules));
   }();
   return *pool;
-}
-
-uint64_t SaturationRuleFingerprint() {
-  static const uint64_t fingerprint = RuleSetFingerprint(SaturationRuleSet());
-  return fingerprint;
 }
 
 EGraphOutcome SaturateAndExtract(const TermPtr& query, const TermPtr& greedy,
@@ -417,8 +412,7 @@ EGraphOutcome SaturateAndExtract(const TermPtr& query, const TermPtr& greedy,
     egraph.Merge(root, egraph.AddTerm(greedy));
     egraph.Rebuild();
   }
-  outcome.status = egraph.Saturate(rewriter, SaturationRuleSet(),
-                                   SaturationRuleFingerprint());
+  outcome.status = egraph.Saturate(rewriter, SaturationRules());
   // Extraction runs even when saturation was cut short: degradation
   // returns the best plan of the partial graph, which always contains the
   // seeds.

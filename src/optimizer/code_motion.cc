@@ -6,49 +6,17 @@
 
 namespace kola {
 
-namespace {
-
-std::vector<Rule> Pick(const std::vector<Rule>& all,
-                       const std::vector<std::string>& ids) {
-  std::vector<Rule> rules;
-  rules.reserve(ids.size());
-  for (const std::string& id : ids) rules.push_back(FindRule(all, id));
-  return rules;
-}
-
-}  // namespace
-
-std::vector<RuleBlock> CodeMotionBlocks() {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<RuleBlock> blocks;
-  blocks.emplace_back(
-      "decompose-predicate",
-      Exhaust(Pick(all, {"13", "7", "ext.inv-lt", "ext.inv-leq",
-                         "ext.inv-geq", "ext.inv-eq", "ext.inv-neq",
-                         "14"})));
-  blocks.emplace_back("hoist-conditional", Exhaust(Pick(all, {"15"})));
-  blocks.emplace_back("distribute", Exhaust(Pick(all, {"16"})));
-  {
-    // Rule 14 right-to-left re-fuses the oplus chain so the projection
-    // rules can collapse it.
-    std::vector<Rule> cleanup = Pick(all, {"9", "10", "3", "8", "1", "2"});
-    auto rev14 = ReverseRule(FindRule(all, "14"));
-    KOLA_CHECK_OK(rev14.status());
-    cleanup.push_back(std::move(rev14).value());
-    blocks.emplace_back("cleanup", Exhaust(std::move(cleanup)));
-  }
-  return blocks;
-}
-
 StatusOr<CodeMotionResult> ApplyCodeMotion(const TermPtr& query,
                                            const Rewriter& rewriter) {
   CodeMotionResult result;
   result.query = query;
   result.trace.initial = query;
-  for (const RuleBlock& block : CodeMotionBlocks()) {
-    KOLA_ASSIGN_OR_RETURN(StrategyResult block_result,
-                          block.Apply(result.query, rewriter,
-                                      &result.trace));
+  for (const char* name : {"decompose-predicate", "hoist-conditional",
+                           "distribute", "cleanup"}) {
+    KOLA_ASSIGN_OR_RETURN(
+        StrategyResult block_result,
+        Catalog::Get().Block(name).Apply(result.query, rewriter,
+                                         &result.trace));
     result.query = block_result.term;
   }
   for (const RewriteStep& step : result.trace.steps) {

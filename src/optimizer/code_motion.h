@@ -1,10 +1,7 @@
 #ifndef KOLA_OPTIMIZER_CODE_MOTION_H_
 #define KOLA_OPTIMIZER_CODE_MOTION_H_
 
-#include <vector>
-
 #include "common/statusor.h"
-#include "coko/strategy.h"
 #include "rewrite/engine.h"
 #include "term/term.h"
 
@@ -19,16 +16,14 @@ struct CodeMotionResult {
   Trace trace;
 };
 
-/// The blocks, in order:
+/// Runs the Catalog's code-motion blocks on `query` (object- or
+/// function-sorted term), in order:
 ///   decompose-predicate   rules 13, 7 and the inverse facts, 14
 ///   hoist-conditional     rule 15 (fires only when the predicate examines
 ///                         the environment component pi1 -- the structural
 ///                         stand-in for AQUA's free-variable analysis)
 ///   distribute            rule 16
-///   cleanup               rules 14 right-to-left, 9, 10, 3, 8, 1, 2
-std::vector<RuleBlock> CodeMotionBlocks();
-
-/// Runs the blocks on `query` (object- or function-sorted term).
+///   cleanup               rules 9, 10, 3, 8, 1, 2, 14 right-to-left
 StatusOr<CodeMotionResult> ApplyCodeMotion(const TermPtr& query,
                                            const Rewriter& rewriter);
 

@@ -14,21 +14,10 @@ StatusOr<std::vector<Candidate>> ExploreJoinPlans(const TermPtr& query,
                                                   const Rewriter& rewriter,
                                                   const CostModel& model,
                                                   int max_candidates) {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> exploration = {
-      FindRule(all, "ext.join-commute"),
-      FindRule(all, "ext.select-past-join-left"),
-      FindRule(all, "ext.select-past-join-right"),
-  };
-  std::vector<Rule> cleanup;
-  for (const char* id :
-       {"norm.assoc", "ext.swap-swap", "ext.swap-swap-chain",
-        "ext.inv-inv", "ext.inv-product",
-        "ext.inv-and", "7", "ext.inv-lt", "ext.inv-leq", "ext.inv-geq",
-        "ext.inv-eq", "ext.inv-neq", "1", "2", "3", "4", "5",
-        "ext.and-true-right", "ext.product-id"}) {
-    cleanup.push_back(FindRule(all, id));
-  }
+  const Catalog& catalog = Catalog::Get();
+  const std::vector<Rule>& exploration =
+      catalog.RuleSet("join-exploration").rules();
+  const CompiledRuleSet& cleanup = catalog.RuleSet("join-cleanup");
 
   std::vector<Candidate> candidates;
   // Dedup on canonical term identity: every candidate plan is interned, so

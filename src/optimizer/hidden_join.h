@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "coko/strategy.h"
 #include "rewrite/engine.h"
 #include "term/term.h"
 
@@ -21,18 +20,12 @@ struct HiddenJoinResult {
   std::vector<std::string> blocks_fired;
 };
 
-/// The five steps as named COKO rule blocks, in order:
-///   1. break-up        rules 17/17b (+ identity cleanup 2, 4, 18)
-///   2. bottom-out      rule 19
-///   3. pull-up-nest    rules 20, 21
-///   4. pull-up-unnest  rules 22, 23
-///   5. absorb-join     rule 24 (+ predicate cleanup 3, 5, 6)
-/// plus a final "polish" block (pair-to-product laws, refolding of the
-/// composition chain).
-std::vector<RuleBlock> HiddenJoinBlocks();
-
 /// Runs the full strategy on `query` (an object-sorted term, typically
-/// `iterate(...) ! A`). Applicability is discovered by the rules
+/// `iterate(...) ! A`): kHiddenJoinCoko's blocks from the Catalog, in
+/// order -- prep, then the five steps break-up (rules 17/17b), bottom-out
+/// (19), pull-up-nest (20, 21), pull-up-unnest (22, 22b, 23) and
+/// absorb-join (24), then polish (pair-to-product laws, refolding of the
+/// composition chain). Applicability is discovered by the rules
 /// themselves: when step 2 never fires the query is NOT a hidden join over
 /// a named set, converted stays false, and the partially simplified query
 /// is returned -- the gradual-rules advantage the paper argues for in

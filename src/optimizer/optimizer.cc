@@ -101,15 +101,18 @@ StatusOr<OptimizeResult> Optimizer::RunPipeline(
     stopped = true;
   };
 
-  // Phase 1: general simplification.
-  phase("simplify", [&]() -> Status {
-    RuleBlock simplify = SimplifyBlock();
+  // Phases 1 and 4 are one Catalog block each.
+  auto run_block = [&](const char* name) -> Status {
+    const RuleBlock& block = Catalog::Get().Block(name);
     KOLA_ASSIGN_OR_RETURN(StrategyResult r,
-                          simplify.Apply(current, rewriter, &result.trace));
-    if (r.changed) result.applied_blocks.push_back(simplify.name());
+                          block.Apply(current, rewriter, &result.trace));
+    if (r.changed) result.applied_blocks.push_back(block.name());
     current = r.term;
     return Status::OK();
-  });
+  };
+
+  // Phase 1: general simplification.
+  phase("simplify", [&] { return run_block("simplify"); });
 
   // Phase 2: code motion (Figure 6).
   phase("code-motion", [&]() -> Status {
@@ -141,20 +144,7 @@ StatusOr<OptimizeResult> Optimizer::RunPipeline(
   // (rule 11 plus predicate/identity cleanup). The hidden-join pipeline
   // leaves queries in composition-chain form, which is what rule 11
   // matches.
-  phase("loop-fusion", [&]() -> Status {
-    std::vector<Rule> all = AllCatalogRules();
-    std::vector<Rule> rules;
-    for (const char* id : {"norm.fold", "norm.assoc", "11", "6", "5", "1",
-                           "2", "ext.and-true-right"}) {
-      rules.push_back(FindRule(all, id));
-    }
-    RuleBlock fusion("loop-fusion", Exhaust(std::move(rules)));
-    KOLA_ASSIGN_OR_RETURN(StrategyResult r,
-                          fusion.Apply(current, rewriter, &result.trace));
-    if (r.changed) result.applied_blocks.push_back(fusion.name());
-    current = r.term;
-    return Status::OK();
-  });
+  phase("loop-fusion", [&] { return run_block("loop-fusion"); });
 
   // Phase 5: cost-ranked join exploration (commutation, selection
   // pushdown) when the plan contains a join. ExploreJoinPlans degrades
@@ -262,8 +252,8 @@ std::vector<BatchOptimizeResult> Optimizer::OptimizeAll(
     return entries;
   }
   // Every worker drives this Optimizer: it holds no per-query state, so the
-  // workers share only immutable inputs (rules, the PropertyStore, the
-  // Database, the queries) and the mutex-guarded compiled-index pool.
+  // workers share only immutable inputs (the Catalog's rule blocks and
+  // compiled indexes, the PropertyStore, the Database, the queries).
   std::atomic<size_t> next{0};
   auto drain = [&] {
     for (;;) {

@@ -62,9 +62,9 @@ struct BatchOptimizeResult {
 /// hidden-join untangling, final cleanup -- all of it rules + strategies,
 /// no head or body routines. Cost-based acceptance uses the CostModel.
 ///
-/// Holds no per-query mutable state (the Rewriter's compiled-index pool is
-/// mutex-guarded), so one instance may serve Optimize calls from several
-/// threads at once.
+/// Holds no per-query mutable state (its rule blocks and their compiled
+/// indexes live in the immutable Catalog), so one instance may serve
+/// Optimize calls from several threads at once.
 class Optimizer {
  public:
   /// `properties` enables precondition-guarded rules (may be nullptr).

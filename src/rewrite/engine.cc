@@ -1,5 +1,6 @@
 #include "rewrite/engine.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/env.h"
@@ -21,8 +22,8 @@ uint64_t StableTermHash(const TermPtr& term) {
 
 uint64_t RuleSetFingerprint(const std::vector<Rule>& rules) {
   // Per-term hashes are cached on the nodes (Term::stable_hash), so
-  // re-fingerprinting a live rule set -- every ApplyAnyOnce call does --
-  // costs one string hash and a few mixes per rule, not a pattern walk.
+  // fingerprinting a rule set costs one string hash and a few mixes per
+  // rule, not a pattern walk.
   uint64_t fp = rules.size();
   for (const Rule& rule : rules) {
     fp = StableHashCombine(fp, StableStringHash(rule.id));
@@ -119,35 +120,30 @@ std::optional<TermPtr> Rewriter::ApplyOnce(const Rule& rule,
   return result;
 }
 
-std::optional<TermPtr> Rewriter::ApplyAnyOnce(const std::vector<Rule>& rules,
+std::optional<TermPtr> Rewriter::ApplyAnyOnce(const CompiledRuleSet& rules,
                                               const TermPtr& term,
                                               RewriteStep* step) const {
-  if (auto index = IndexFor(rules, RuleSetFingerprint(rules))) {
-    return IndexedApplyAnyOnce(rules, term, step, *index);
+  if (const RuleIndex* index = IndexFor(rules)) {
+    return IndexedApplyAnyOnce(rules.rules(), term, step, *index);
   }
-  return LinearApplyAnyOnce(rules, term, step);
+  return LinearApplyAnyOnce(rules.rules(), term, step);
 }
 
-std::shared_ptr<const RuleIndex> Rewriter::IndexFor(
-    const std::vector<Rule>& rules, uint64_t fingerprint) const {
-  if (!options_.use_rule_index || RuleIndexDisabledByEnv() || rules.empty()) {
+const RuleIndex* Rewriter::IndexFor(const CompiledRuleSet& rules) const {
+  const RuleIndex* index = rules.index();
+  if (index == nullptr || !options_.use_rule_index ||
+      RuleIndexDisabledByEnv()) {
     return nullptr;
   }
-  std::lock_guard<std::mutex> lock(index_mu_);
-  auto it = index_pool_.find(fingerprint);
-  if (it != index_pool_.end()) {
-    // A fingerprint collision between different rule sets must not replay
-    // the wrong index; the rare colliding set just runs linear.
-    return it->second->rule_count() == rules.size() ? it->second : nullptr;
+  if (options_.governor == nullptr) return index;
+  std::lock_guard<std::mutex> lock(charged_mu_);
+  // A refused charge is not recorded: the index's next use asks the (by
+  // then stopped) governor again.
+  if (std::find(charged_.begin(), charged_.end(), index->fingerprint()) ==
+          charged_.end() &&
+      index_charge_.Add(index->footprint_bytes()).ok()) {
+    charged_.push_back(index->fingerprint());
   }
-  std::shared_ptr<const RuleIndex> index =
-      AcquireRuleIndex(rules, fingerprint);
-  // Charge-before-keep: a budget that cannot afford this Rewriter's
-  // reference to the compiled tree gets the linear scan for this call, but
-  // the refused charge latches the governor's sticky stop, so the pass ends
-  // at its next probe with the best plan so far (DESIGN.md section 9).
-  if (!index_charge_.Add(index->footprint_bytes()).ok()) return nullptr;
-  index_pool_.emplace(fingerprint, index);
   return index;
 }
 
@@ -193,10 +189,10 @@ TermPtr GraftAlongPath(const TermPtr& node, const std::vector<size_t>& path,
 }  // namespace
 
 std::vector<std::optional<TermPtr>> Rewriter::ApplyEachOnce(
-    const std::vector<Rule>& rules, const TermPtr& term) const {
+    const CompiledRuleSet& rule_set, const TermPtr& term) const {
+  const std::vector<Rule>& rules = rule_set.rules();
   std::vector<std::optional<TermPtr>> results(rules.size());
-  std::shared_ptr<const RuleIndex> index =
-      IndexFor(rules, RuleSetFingerprint(rules));
+  const RuleIndex* index = IndexFor(rule_set);
   if (index == nullptr) {
     for (size_t r = 0; r < rules.size(); ++r) {
       results[r] = ApplyOnce(rules[r], term, nullptr);
@@ -298,7 +294,7 @@ std::optional<TermPtr> Rewriter::LinearApplyAnyOnce(
   return std::nullopt;
 }
 
-StatusOr<TermPtr> Rewriter::Fixpoint(const std::vector<Rule>& rules,
+StatusOr<TermPtr> Rewriter::Fixpoint(const CompiledRuleSet& rule_set,
                                      TermPtr term, Trace* trace,
                                      int max_steps) const {
   // Entry boundary: an unconditional clock probe, so a fixpoint entered
@@ -307,10 +303,9 @@ StatusOr<TermPtr> Rewriter::Fixpoint(const std::vector<Rule>& rules,
   if (options_.governor != nullptr) {
     KOLA_RETURN_IF_ERROR(options_.governor->CheckNow());
   }
-  // Hoisted out of the sweep loop: one pool probe per Fixpoint call, not
-  // per firing.
-  const std::shared_ptr<const RuleIndex> index =
-      IndexFor(rules, RuleSetFingerprint(rules));
+  // Once per Fixpoint call, not per firing.
+  const RuleIndex* index = IndexFor(rule_set);
+  const std::vector<Rule>& rules = rule_set.rules();
   if (trace != nullptr && trace->initial == nullptr) trace->initial = term;
   const bool faults_armed = ActiveFaultInjector() != nullptr;
   for (int i = 0; i < max_steps; ++i) {

@@ -2,17 +2,16 @@
 #define KOLA_REWRITE_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/governor.h"
 #include "common/statusor.h"
 #include "rewrite/properties.h"
 #include "rewrite/rule.h"
+#include "rewrite/rule_index.h"
 #include "term/term.h"
 
 namespace kola {
@@ -43,10 +42,10 @@ struct Trace {
 
 /// A stable fingerprint of a rule set (ids, both sides, conditions). Two
 /// rule vectors with the same fingerprint rewrite identically; keys the
-/// compiled RuleIndex cache, and is safe to persist: it is computed from
-/// explicit FNV-1a/mix steps over the rules' syntax, never from std::hash or
-/// Term::hash (both implementation-defined), so the value is identical
-/// across platforms and standard libraries.
+/// compiled RuleIndex cache and the plan cache, and is safe to persist: it
+/// is computed from explicit FNV-1a/mix steps over the rules' syntax, never
+/// from std::hash or Term::hash (both implementation-defined), so the value
+/// is identical across platforms and standard libraries.
 uint64_t RuleSetFingerprint(const std::vector<Rule>& rules);
 
 /// Tunables for the rewrite engine.
@@ -73,8 +72,8 @@ struct RewriterOptions {
   /// by default. The KOLA_NO_RULE_INDEX environment variable (truthy --
   /// see common/env.h) force-disables it process-wide regardless of this
   /// flag, so differential sweeps can compare the two scans byte-for-byte.
-  /// Index bytes are charged to the governor's kRuleIndex budget; a failed
-  /// charge falls back to the linear scan.
+  /// A governed pass charges each index's bytes to kRuleIndex on its first
+  /// use (see IndexFor).
   bool use_rule_index = true;
 
   /// Run the equality-saturation backend (src/egraph/) as a final optimizer
@@ -117,16 +116,24 @@ class Rewriter {
                                    RewriteStep* step) const;
 
   /// Tries each rule in order at leftmost-outermost; first success wins.
-  std::optional<TermPtr> ApplyAnyOnce(const std::vector<Rule>& rules,
+  std::optional<TermPtr> ApplyAnyOnce(const CompiledRuleSet& rules,
                                       const TermPtr& term,
                                       RewriteStep* step) const;
+
+  /// As above, compiling `rules` for this one call (tests and one-off
+  /// callers; rule blocks hold a CompiledRuleSet instead).
+  std::optional<TermPtr> ApplyAnyOnce(const std::vector<Rule>& rules,
+                                      const TermPtr& term,
+                                      RewriteStep* step) const {
+    return ApplyAnyOnce(CompiledRuleSet(rules), term, step);
+  }
 
   /// Tries each rule in order at the ROOT position only; first success
   /// wins. `index` (optional) is a compiled index for exactly `rules`
   /// (from IndexFor) consulted to skip rules whose lhs cannot match here;
   /// results are identical with or without it. `fired_rule` (optional)
   /// receives the index of the rule that fired. The per-node primitive of
-  /// bottom-up strategies (Everywhere), which prefetch the index once per
+  /// bottom-up strategies (Everywhere), which look the index up once per
   /// sweep rather than per node.
   std::optional<TermPtr> ApplyAnyAtRoot(const std::vector<Rule>& rules,
                                         const TermPtr& term,
@@ -138,22 +145,30 @@ class Rewriter {
   /// index enabled this is one shared descent that tests only each node's
   /// candidates, instead of rules.size() full traversals.
   std::vector<std::optional<TermPtr>> ApplyEachOnce(
-      const std::vector<Rule>& rules, const TermPtr& term) const;
+      const CompiledRuleSet& rules, const TermPtr& term) const;
 
-  /// The compiled rule index this Rewriter consults for `rules`, acquiring
-  /// (and governor-charging) it on first use. `fingerprint` must be
-  /// RuleSetFingerprint(rules) -- passed in so per-sweep callers hoist the
-  /// hash. nullptr when indexing is off (options, KOLA_NO_RULE_INDEX), the
-  /// rule set is empty, or the memory budget cannot afford the compiled
-  /// tree -- callers fall back to the linear scan, with identical results.
-  std::shared_ptr<const RuleIndex> IndexFor(const std::vector<Rule>& rules,
-                                            uint64_t fingerprint) const;
+  /// The compiled index this Rewriter consults for `rules`: null when
+  /// indexing is off (options, KOLA_NO_RULE_INDEX) or the set is empty,
+  /// and callers then scan linearly, with identical results. A governed
+  /// Rewriter charges each index's footprint_bytes() to kRuleIndex on its
+  /// first use; an ungoverned one keeps no bookkeeping. A refused charge
+  /// latches the governor's sticky memory stop, which ends the pass at its
+  /// next probe with the best plan so far (DESIGN.md section 9); until
+  /// then the index is still used, since both scans agree.
+  const RuleIndex* IndexFor(const CompiledRuleSet& rules) const;
 
   /// Repeats ApplyAnyOnce until no rule fires. RESOURCE_EXHAUSTED after
   /// `max_steps` firings (non-terminating rule sets are a bug in the
   /// caller's rule selection, but must not hang the optimizer).
-  StatusOr<TermPtr> Fixpoint(const std::vector<Rule>& rules, TermPtr term,
+  StatusOr<TermPtr> Fixpoint(const CompiledRuleSet& rules, TermPtr term,
                              Trace* trace, int max_steps = 10'000) const;
+
+  /// As above, compiling `rules` for this one call.
+  StatusOr<TermPtr> Fixpoint(const std::vector<Rule>& rules, TermPtr term,
+                             Trace* trace, int max_steps = 10'000) const {
+    return Fixpoint(CompiledRuleSet(rules), std::move(term), trace,
+                    max_steps);
+  }
 
   const PropertyStore* properties() const { return properties_; }
   const RewriterOptions& options() const { return options_; }
@@ -179,8 +194,8 @@ class Rewriter {
                                        RewriteStep* step) const;
 
   /// The rule-major linear scan behind ApplyAnyOnce: each rule in order at
-  /// leftmost-outermost. The budget fallback when no index is affordable,
-  /// and the index's differential oracle.
+  /// leftmost-outermost. Used when indexing is off, and the index's
+  /// differential oracle.
   std::optional<TermPtr> LinearApplyAnyOnce(const std::vector<Rule>& rules,
                                             const TermPtr& term,
                                             RewriteStep* step) const;
@@ -196,14 +211,12 @@ class Rewriter {
 
   const PropertyStore* properties_;
   RewriterOptions options_;
-  /// Compiled-index references held by this Rewriter (the indexes
-  /// themselves are shared process-wide by fingerprint), its only mutable
-  /// state; the mutex makes acquisition safe for a const Rewriter shared
-  /// by several threads.
-  mutable std::mutex index_mu_;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<const RuleIndex>>
-      index_pool_;
-  /// Accounts the held indexes' bytes against options_.governor.
+  /// Fingerprints of the indexes a governed Rewriter has charged, its only
+  /// mutable state (never touched when ungoverned); the mutex makes the
+  /// first-use charge safe for a const Rewriter shared by several threads.
+  mutable std::mutex charged_mu_;
+  mutable std::vector<uint64_t> charged_;
+  /// Accounts the charged indexes' bytes against options_.governor.
   mutable MemoryCharge index_charge_;
 };
 

@@ -138,6 +138,11 @@ void RuleIndex::CandidatesAt(const Term& term,
   for (uint32_t rule : wildcard_roots_) MergeCandidate(out, rule);
 }
 
+CompiledRuleSet::CompiledRuleSet(std::vector<Rule> rules)
+    : rules_(std::move(rules)), fingerprint_(RuleSetFingerprint(rules_)) {
+  if (!rules_.empty()) index_ = AcquireRuleIndex(rules_, fingerprint_);
+}
+
 namespace {
 
 struct IndexCache {
@@ -158,32 +163,21 @@ IndexCache& GlobalIndexCache() {
 
 std::shared_ptr<const RuleIndex> AcquireRuleIndex(
     const std::vector<Rule>& rules, uint64_t fingerprint) {
+  // Built under the lock: rule sets are compiled when a strategy or the
+  // Catalog is built, not per request, so the lock is never hot.
   IndexCache& cache = GlobalIndexCache();
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    auto it = cache.by_fp.find(fingerprint);
-    if (it != cache.by_fp.end()) {
-      if (it->second->rule_count() == rules.size()) {
-        ++cache.hits;
-        return it->second;
-      }
-      // Fingerprint collision between distinct rule sets: serve a private
-      // build, cache nothing.
-      ++cache.misses;
-      return RuleIndex::Build(rules, fingerprint);
-    }
-  }
-  // Build outside the lock; on a race the first insert wins so every
-  // caller shares one copy.
-  auto built = RuleIndex::Build(rules, fingerprint);
   std::lock_guard<std::mutex> lock(cache.mu);
-  auto [it, inserted] = cache.by_fp.emplace(fingerprint, built);
-  if (inserted) {
-    ++cache.misses;
-  } else {
+  auto it = cache.by_fp.find(fingerprint);
+  if (it != cache.by_fp.end() && it->second->rule_count() == rules.size()) {
     ++cache.hits;
+    return it->second;
   }
-  return it->second;
+  ++cache.misses;
+  auto built = RuleIndex::Build(rules, fingerprint);
+  // A no-op on a fingerprint collision between distinct rule sets: that
+  // caller keeps a private build and the cached one stays.
+  cache.by_fp.emplace(fingerprint, built);
+  return built;
 }
 
 RuleIndexCacheStats GetRuleIndexCacheStats() {

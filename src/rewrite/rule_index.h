@@ -35,9 +35,8 @@ namespace kola {
 /// which the linear scan would also have rejected (in O(1) inside
 /// MatchTerm rather than before calling it).
 ///
-/// Immutable after Build and safe to share across threads; the optimizer's
-/// batch workers all consult one compiled copy per rule-set fingerprint
-/// (see AcquireRuleIndex).
+/// Immutable after Build and safe to share across threads; every holder
+/// of an equal rule set shares one compiled copy (see AcquireRuleIndex).
 class RuleIndex {
  public:
   /// Compiles the index. `fingerprint` is RuleSetFingerprint(rules),
@@ -92,6 +91,27 @@ class RuleIndex {
   std::vector<uint32_t> pair_roots_;
 };
 
+/// A rule set compiled once for matching: the rules in probe order, their
+/// RuleSetFingerprint and the RuleIndex over them, all fixed at
+/// construction. Strategy leaves and the Catalog (rules/catalog.h) hold
+/// these, so applying a rule block neither re-fingerprints its rules nor
+/// looks an index up. Immutable; safe to share across threads.
+class CompiledRuleSet {
+ public:
+  explicit CompiledRuleSet(std::vector<Rule> rules);
+
+  const std::vector<Rule>& rules() const { return rules_; }
+  uint64_t fingerprint() const { return fingerprint_; }
+  /// The compiled index (shared through AcquireRuleIndex); null only for an
+  /// empty set.
+  const RuleIndex* index() const { return index_.get(); }
+
+ private:
+  std::vector<Rule> rules_;
+  uint64_t fingerprint_;
+  std::shared_ptr<const RuleIndex> index_;
+};
+
 /// Aggregate stats of the process-wide compiled-index cache (kolash
 /// :stats).
 struct RuleIndexCacheStats {
@@ -105,8 +125,8 @@ struct RuleIndexCacheStats {
 /// Returns the process-wide compiled index for this rule set, building and
 /// caching it on first use. Keyed by `fingerprint` (already computed by
 /// the caller); a fingerprint collision with a different rule count is
-/// detected and served an uncached fresh build. Thread-safe; OptimizeAll
-/// workers all receive the same immutable compiled copy.
+/// detected and served an uncached fresh build. Thread-safe; every caller
+/// receives the same immutable compiled copy.
 std::shared_ptr<const RuleIndex> AcquireRuleIndex(
     const std::vector<Rule>& rules, uint64_t fingerprint);
 

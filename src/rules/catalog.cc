@@ -1,6 +1,7 @@
 #include "rules/catalog.h"
 
 #include "common/macros.h"
+#include "rewrite/engine.h"
 
 namespace kola {
 
@@ -25,6 +26,54 @@ Rule RC(const std::string& id, const std::string& description,
 constexpr Sort kFn = Sort::kFunction;
 constexpr Sort kPr = Sort::kPredicate;
 constexpr Sort kOb = Sort::kObject;
+
+/// Every optimizer phase's blocks besides the hidden-join strategy
+/// (kHiddenJoinCoko), which the Catalog parses into the same module.
+constexpr char kPhaseCoko[] = R"(
+# Phase 1: identity, constant, projection and conditional laws.
+block simplify {
+  exhaust 1, 2, 3, 4, 5, 6, 8, 9, 10, 18, ext.and-true-right, ext.and-false,
+          ext.or-true, ext.or-false, ext.product-id, ext.con-true,
+          ext.con-false, ext.con-same, ext.not-not, ext.inv-inv,
+          ext.iterate-false, norm.id-apply;
+}
+# Standalone blocks: predicates to CNF, selections below joins.
+block cnf {
+  exhaust ext.not-not, ext.demorgan-and, ext.demorgan-or, ext.cnf-dist-left,
+          ext.cnf-dist-right;
+}
+block push-selects {
+  exhaust ext.select-past-join-left, ext.select-past-join-right;
+}
+# Phase 2: code motion (Figure 6). Rule 15 fires only when the predicate
+# examines the environment component pi1 -- the structural stand-in for
+# AQUA's free-variable analysis; 14~ re-fuses the oplus chain so the
+# projection rules can collapse it.
+block decompose-predicate {
+  exhaust 13, 7, ext.inv-lt, ext.inv-leq, ext.inv-geq, ext.inv-eq,
+          ext.inv-neq, 14;
+}
+block hoist-conditional { exhaust 15; }
+block distribute        { exhaust 16; }
+block cleanup           { exhaust 9, 10, 3, 8, 1, 2, 14~; }
+# Phase 4: loop fusion; the hidden-join blocks leave composition chains,
+# which is what rule 11 matches.
+block loop-fusion {
+  exhaust norm.fold, norm.assoc, 11, 6, 5, 1, 2, ext.and-true-right;
+}
+# Phase 5: join exploration applies each of these rules once to every
+# frontier plan, then normalizes with join-cleanup, so commuting twice
+# folds back onto an already-seen plan.
+block join-exploration {
+  once ext.join-commute, ext.select-past-join-left, ext.select-past-join-right;
+}
+block join-cleanup {
+  exhaust norm.assoc, ext.swap-swap, ext.swap-swap-chain, ext.inv-inv,
+          ext.inv-product, ext.inv-and, 7, ext.inv-lt, ext.inv-leq,
+          ext.inv-geq, ext.inv-eq, ext.inv-neq, 1, 2, 3, 4, 5,
+          ext.and-true-right, ext.product-id;
+}
+)";
 
 }  // namespace
 
@@ -424,6 +473,51 @@ std::vector<Rule> AllCatalogRules() {
   for (Rule& rule : ExtendedRules()) rules.push_back(std::move(rule));
   return rules;
 }
+
+Catalog::Catalog()
+    : rules_(AllCatalogRules()), fingerprint_(RuleSetFingerprint(rules_)) {
+  for (const Rule& rule : rules_) by_id_.emplace(rule.id, &rule);
+  auto module = ParseCoko(std::string(kHiddenJoinCoko) + kPhaseCoko, rules_);
+  KOLA_CHECK_OK(module.status());
+  module_ = std::move(module).value();
+  for (const RuleBlock& block : module_.blocks) {
+    blocks_.emplace(block.name(), &block);
+  }
+}
+
+const Catalog& Catalog::Get() {
+  static const Catalog* catalog = new Catalog();
+  return *catalog;
+}
+
+const Rule* Catalog::Find(std::string_view id) const {
+  auto it = by_id_.find(id);
+  return it == by_id_.end() ? nullptr : it->second;
+}
+
+const RuleBlock& Catalog::Block(std::string_view name) const {
+  auto it = blocks_.find(name);
+  KOLA_CHECK(it != blocks_.end());
+  return *it->second;
+}
+
+const CompiledRuleSet& Catalog::RuleSet(std::string_view name) const {
+  const CompiledRuleSet* rules = Block(name).strategy()->rules();
+  KOLA_CHECK(rules != nullptr);
+  return *rules;
+}
+
+RuleBlock CnfBlock() {
+  return RuleBlock("convert predicates to CNF",
+                   Catalog::Get().Block("cnf").strategy());
+}
+
+RuleBlock PushSelectsPastJoinsBlock() {
+  return RuleBlock("push selects past joins",
+                   Catalog::Get().Block("push-selects").strategy());
+}
+
+RuleBlock SimplifyBlock() { return Catalog::Get().Block("simplify"); }
 
 StatusOr<const Rule*> TryFindRule(const std::vector<Rule>& rules,
                                   const std::string& id) {

@@ -166,7 +166,7 @@ OptimizationService::OptimizationService(const Database* db,
     : db_(db),
       properties_(properties),
       options_(std::move(options)),
-      rule_fingerprint_(RuleSetFingerprint(AllCatalogRules())),
+      rule_fingerprint_(Catalog::Get().fingerprint()),
       cache_(options_.cache_capacity) {
   if (options_.jobs < 1) options_.jobs = 1;
   if (options_.tiers.empty()) options_.tiers = DefaultTiers();

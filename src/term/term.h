@@ -124,7 +124,7 @@ class Term {
   /// rendered form (Value::ToString is deterministic). Unlike hash() it
   /// never routes through std::hash, so the value is identical across
   /// platforms and standard libraries and safe to persist (it seeds
-  /// RuleSetFingerprint, the key of the rule-index pools). Computed on
+  /// RuleSetFingerprint, the key of the rule-index cache). Computed on
   /// first call and cached on the node (terms are immutable); the walk is
   /// iterative, so deep spines are safe.
   uint64_t stable_hash() const;

@@ -93,9 +93,10 @@ TEST_F(CokoTest, ErrorsAreDiagnosed) {
   EXPECT_FALSE(ParseCoko("block x { once 3!; }", catalog_).ok());
 }
 
-TEST_F(CokoTest, HiddenJoinModuleMatchesBuiltinPipeline) {
-  // The shipped COKO text reproduces the C++-assembled five-step strategy:
-  // same final query on the garage query and on deeper hidden joins.
+TEST_F(CokoTest, HiddenJoinModuleMatchesCatalogPipeline) {
+  // The module's composite "hidden-join" block (seven `use` steps) untangles
+  // the garage query into KG2 and agrees with UntangleHiddenJoin, which runs
+  // the Catalog's copies of the seven blocks one at a time.
   auto module = ParseCoko(kHiddenJoinCoko, catalog_);
   ASSERT_TRUE(module.ok()) << module.status();
   const RuleBlock* pipeline = module->Find("hidden-join");
@@ -112,9 +113,9 @@ TEST_F(CokoTest, HiddenJoinModuleMatchesBuiltinPipeline) {
     ASSERT_TRUE(query.ok());
     auto via_coko = pipeline->Apply(query.value(), rewriter_, nullptr);
     ASSERT_TRUE(via_coko.ok());
-    auto via_builtin = UntangleHiddenJoin(query.value(), rewriter_);
-    ASSERT_TRUE(via_builtin.ok());
-    EXPECT_TRUE(Term::Equal(via_coko->term, via_builtin->query))
+    auto via_catalog = UntangleHiddenJoin(query.value(), rewriter_);
+    ASSERT_TRUE(via_catalog.ok());
+    EXPECT_TRUE(Term::Equal(via_coko->term, via_catalog->query))
         << "depth " << depth;
   }
 }

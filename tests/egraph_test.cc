@@ -116,7 +116,7 @@ TEST_F(EGraphTest, ExtractionMinimizesThroughSharedSubclasses) {
 }
 
 TEST_F(EGraphTest, SaturationRuleSetIsDeduplicatedAndReversed) {
-  const std::vector<Rule>& pool = SaturationRuleSet();
+  const std::vector<Rule>& pool = SaturationRules().rules();
   EXPECT_GT(pool.size(), AllCatalogRules().size());
   std::unordered_set<std::string> seen;
   bool has_reversed = false;
@@ -131,16 +131,14 @@ TEST_F(EGraphTest, SaturationRuleSetIsDeduplicatedAndReversed) {
     if (rule.id.size() > 1 && rule.id.back() == '~') has_reversed = true;
   }
   EXPECT_TRUE(has_reversed);
-  EXPECT_EQ(SaturationRuleFingerprint(), RuleSetFingerprint(pool));
+  EXPECT_EQ(SaturationRules().fingerprint(), RuleSetFingerprint(pool));
 }
 
 TEST_F(EGraphTest, SaturateFindsSimplerEquivalents) {
   EGraph egraph;
   TermPtr query = Parse("iterate(Kp(T) & Kp(T), id o age) ! P");
   EClassId root = egraph.AddTerm(query);
-  ASSERT_TRUE(egraph.Saturate(rewriter_, SaturationRuleSet(),
-                              SaturationRuleFingerprint())
-                  .ok());
+  ASSERT_TRUE(egraph.Saturate(rewriter_, SaturationRules()).ok());
   EXPECT_TRUE(egraph.stats().saturated);
   EXPECT_GT(egraph.stats().rule_applications, 0u);
   auto extracted = egraph.ExtractSmallest(root);

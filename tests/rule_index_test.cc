@@ -12,6 +12,7 @@
 
 #include "common/governor.h"
 #include "optimizer/hidden_join.h"
+#include "optimizer/optimizer.h"
 #include "rewrite/engine.h"
 #include "rewrite/match.h"
 #include "rewrite/rule.h"
@@ -46,6 +47,17 @@ TEST(FingerprintTest, CatalogFingerprintIsPinned) {
   std::vector<Rule> catalog = AllCatalogRules();
   ASSERT_EQ(catalog.size(), 113u);
   EXPECT_EQ(RuleSetFingerprint(catalog), 0xc12ac90084990c8fULL);
+  // The process-wide Catalog holds the same rules, in the same order.
+  EXPECT_EQ(Catalog::Get().rules().size(), 113u);
+  EXPECT_EQ(Catalog::Get().fingerprint(), 0xc12ac90084990c8fULL);
+}
+
+TEST(FingerprintTest, CatalogFindsEveryRuleById) {
+  const Catalog& catalog = Catalog::Get();
+  for (const Rule& rule : catalog.rules()) {
+    EXPECT_EQ(catalog.Find(rule.id), &rule) << rule.id;
+  }
+  EXPECT_EQ(catalog.Find("no-such-rule"), nullptr);
 }
 
 TEST(FingerprintTest, StableStringHashIsFnv1a) {
@@ -202,6 +214,7 @@ TEST(RuleIndexTest, DeeperFirstRuleBeatsShallowerLaterRule) {
 
 TEST(RuleIndexTest, ApplyEachOnceMatchesPerRuleApplyOnce) {
   std::vector<Rule> rules = AllCatalogRules();
+  const CompiledRuleSet compiled(rules);
   const TermPtr terms[] = {
       GarageQueryKG1(),
       Q("iterate(Kp(T), city) o iterate(Kp(T), addr)"),
@@ -213,7 +226,7 @@ TEST(RuleIndexTest, ApplyEachOnceMatchesPerRuleApplyOnce) {
   Rewriter linear(nullptr, linear_options);
   int fired = 0;
   for (const TermPtr& term : terms) {
-    auto batch = indexed.ApplyEachOnce(rules, term);
+    auto batch = indexed.ApplyEachOnce(compiled, term);
     ASSERT_EQ(batch.size(), rules.size());
     for (size_t r = 0; r < rules.size(); ++r) {
       auto one = linear.ApplyOnce(rules[r], term, nullptr);
@@ -229,44 +242,43 @@ TEST(RuleIndexTest, ApplyEachOnceMatchesPerRuleApplyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle: per-Rewriter index pool, rebuild on fingerprint change, the
-// process-wide cache, and governor charging.
+// Lifecycle: compiled rule sets, the process-wide cache, and governor
+// charging.
 // ---------------------------------------------------------------------------
 
-TEST(RuleIndexTest, RewriterRebuildsIndexOnFingerprintChangeMidLifetime) {
-  // One Rewriter, two different rule sets: the second Fixpoint must consult
-  // an index for the SECOND set, not a stale one -- and both derivations
-  // must equal their linear-scan twins.
+TEST(RuleIndexTest, EachCompiledRuleSetCarriesItsOwnIndex) {
+  // One Rewriter, two compiled rule sets: each Fixpoint consults its own
+  // set's index, never a stale one -- and both derivations must equal their
+  // linear-scan twins.
   std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> fusion;
+  std::vector<Rule> fusion_rules;
   for (const char* id : {"11", "6", "5", "1", "13", "7"}) {
-    fusion.push_back(FindRule(all, id));
+    fusion_rules.push_back(FindRule(all, id));
   }
-  std::vector<Rule> cleanup = {R("left-id", "id o ?f", "?f"),
-                               R("right-id", "?f o id", "?f")};
-  const uint64_t fusion_fp = RuleSetFingerprint(fusion);
-  const uint64_t cleanup_fp = RuleSetFingerprint(cleanup);
-  ASSERT_NE(fusion_fp, cleanup_fp);
+  const CompiledRuleSet fusion(fusion_rules);
+  const CompiledRuleSet cleanup({R("left-id", "id o ?f", "?f"),
+                                 R("right-id", "?f o id", "?f")});
+  ASSERT_NE(fusion.fingerprint(), cleanup.fingerprint());
+  EXPECT_EQ(fusion.fingerprint(), RuleSetFingerprint(fusion_rules));
 
   Rewriter rewriter;
-  auto fusion_index = rewriter.IndexFor(fusion, fusion_fp);
+  const RuleIndex* fusion_index = rewriter.IndexFor(fusion);
   ASSERT_NE(fusion_index, nullptr);
-  EXPECT_EQ(fusion_index->fingerprint(), fusion_fp);
-  EXPECT_EQ(fusion_index->rule_count(), fusion.size());
+  EXPECT_EQ(fusion_index, fusion.index());
+  EXPECT_EQ(fusion_index->fingerprint(), fusion.fingerprint());
+  EXPECT_EQ(fusion_index->rule_count(), fusion_rules.size());
 
   Trace t1;
   auto fused = rewriter.Fixpoint(
       fusion, Q("iterate(Kp(T), city) o iterate(Kp(T), addr)"), &t1);
   ASSERT_TRUE(fused.ok()) << fused.status();
 
-  // Switch rule sets on the same Rewriter: a fresh index, keyed by the new
-  // fingerprint, with the old one still pooled (not evicted, not reused).
-  auto cleanup_index = rewriter.IndexFor(cleanup, cleanup_fp);
+  const RuleIndex* cleanup_index = rewriter.IndexFor(cleanup);
   ASSERT_NE(cleanup_index, nullptr);
-  EXPECT_NE(cleanup_index.get(), fusion_index.get());
-  EXPECT_EQ(cleanup_index->fingerprint(), cleanup_fp);
+  EXPECT_NE(cleanup_index, fusion_index);
+  EXPECT_EQ(cleanup_index->fingerprint(), cleanup.fingerprint());
   EXPECT_EQ(cleanup_index->rule_count(), 2u);
-  EXPECT_EQ(rewriter.IndexFor(fusion, fusion_fp).get(), fusion_index.get());
+  EXPECT_EQ(rewriter.IndexFor(fusion), fusion_index);
 
   Trace t2;
   auto cleaned =
@@ -278,6 +290,7 @@ TEST(RuleIndexTest, RewriterRebuildsIndexOnFingerprintChangeMidLifetime) {
   RewriterOptions linear_options;
   linear_options.use_rule_index = false;
   Rewriter linear(nullptr, linear_options);
+  EXPECT_EQ(linear.IndexFor(fusion), nullptr);
   Trace s1, s2;
   auto fused_linear = linear.Fixpoint(
       fusion, Q("iterate(Kp(T), city) o iterate(Kp(T), addr)"), &s1);
@@ -302,22 +315,28 @@ TEST(RuleIndexTest, ProcessCacheSharesOneCompiledCopy) {
   EXPECT_GT(after.hits, before.hits);  // at least the second acquire
   EXPECT_GE(after.bytes, a->footprint_bytes());
 
-  // Two Rewriters resolve to the same compiled copy.
+  // Two compiled sets of the same rules, consulted by two Rewriters,
+  // resolve to the same compiled copy.
+  const CompiledRuleSet first(rules);
+  const CompiledRuleSet second(rules);
+  EXPECT_EQ(first.index(), a.get());
   Rewriter r1, r2;
-  EXPECT_EQ(r1.IndexFor(rules, fp).get(), r2.IndexFor(rules, fp).get());
+  EXPECT_EQ(r1.IndexFor(first), r2.IndexFor(second));
 }
 
-TEST(RuleIndexTest, ExhaustedMemoryBudgetFallsBackToLinearScan) {
-  // A governor too small for the compiled tree: IndexFor must decline
-  // (nullptr), and the un-indexed rule application must still return the
-  // linear scan's exact answer. (The rest of a 64-byte request budget is
-  // unusable too, so only the chargeless ApplyAnyOnce path runs here.)
+TEST(RuleIndexTest, ExhaustedMemoryBudgetKeepsTheIndexAndStopsThePass) {
+  // A governor too small for the compiled tree: the refused kRuleIndex
+  // charge latches the governor's sticky memory stop, but IndexFor still
+  // hands out the index, and the rule application in progress returns the
+  // linear scan's exact answer. The pass's next probe then stops.
   Governor tiny{Governor::Limits{.memory_budget_bytes = 64}};
   RewriterOptions options;
   options.governor = &tiny;
   Rewriter rewriter(nullptr, options);
-  std::vector<Rule> rules = AllCatalogRules();
-  EXPECT_EQ(rewriter.IndexFor(rules, RuleSetFingerprint(rules)), nullptr);
+  const CompiledRuleSet rules(AllCatalogRules());
+  EXPECT_EQ(rewriter.IndexFor(rules), rules.index());
+  EXPECT_EQ(tiny.cause(), Governor::StopCause::kMemory);
+  EXPECT_EQ(tiny.memory().charged(MemoryCategory::kRuleIndex), 0);
 
   RewriterOptions linear_options;
   linear_options.use_rule_index = false;
@@ -331,17 +350,48 @@ TEST(RuleIndexTest, ExhaustedMemoryBudgetFallsBackToLinearScan) {
   EXPECT_EQ(step.rule_id, linear_step.rule_id);
   EXPECT_EQ(step.path, linear_step.path);
   EXPECT_TRUE(Term::Equal(*result, *linear_result));
+
+  // The stop is sticky: the next Fixpoint ends before its first sweep.
+  auto stopped = rewriter.Fixpoint(rules, Q("id o (age o id)"), nullptr);
+  EXPECT_EQ(stopped.status().code(), StatusCode::kResourceExhausted);
+
+  // A whole optimization pass under such a budget degrades at its first
+  // phase, whose index charge is the first thing refused, with cause
+  // kMemory; the input query is the plan.
+  Governor pass_budget{Governor::Limits{.memory_budget_bytes = 64}};
+  PropertyStore properties = PropertyStore::Default();
+  Optimizer optimizer(&properties, nullptr);
+  TermPtr query = Q("iterate(Kp(T), id o age) ! P", Sort::kObject);
+  auto optimized = optimizer.Optimize(query, &pass_budget);
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  EXPECT_TRUE(optimized->degradation.degraded);
+  EXPECT_EQ(optimized->degradation.phase, "simplify");
+  EXPECT_EQ(optimized->degradation.code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(pass_budget.cause(), Governor::StopCause::kMemory);
+  EXPECT_TRUE(optimized->trace.steps.empty());
+  EXPECT_TRUE(Term::Equal(optimized->query, query));
 }
 
 TEST(RuleIndexTest, AmpleBudgetChargesIndexBytes) {
+  // A governed Rewriter charges each index once, on its first use: a later
+  // use -- through the compiled set or a plain vector of the same rules --
+  // charges nothing more.
   Governor governor{Governor::Limits{.memory_budget_bytes = 1 << 30}};
   RewriterOptions options;
   options.governor = &governor;
   Rewriter rewriter(nullptr, options);
-  std::vector<Rule> rules = AllCatalogRules();
-  auto index = rewriter.IndexFor(rules, RuleSetFingerprint(rules));
+  const CompiledRuleSet rules(AllCatalogRules());
+  const RuleIndex* index = rewriter.IndexFor(rules);
   ASSERT_NE(index, nullptr);
-  EXPECT_GE(governor.memory().peak_bytes(), index->footprint_bytes());
+  EXPECT_EQ(governor.memory().charged(MemoryCategory::kRuleIndex),
+            index->footprint_bytes());
+  EXPECT_EQ(rewriter.IndexFor(rules), index);
+  RewriteStep step;
+  EXPECT_TRUE(
+      rewriter.ApplyAnyOnce(rules.rules(), Q("id o (age o id)"), &step));
+  EXPECT_EQ(governor.memory().charged(MemoryCategory::kRuleIndex),
+            index->footprint_bytes());
+  EXPECT_FALSE(governor.stopped());
 }
 
 // ---------------------------------------------------------------------------
