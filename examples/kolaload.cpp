@@ -29,23 +29,17 @@
 // driver. Exit status 0 iff every request (eventually) succeeded and every
 // assertion held.
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/line_io.h"
 #include "common/parse_number.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -54,112 +48,34 @@ using namespace kola;
 
 namespace {
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Same poll discipline as SocketServer: absolute deadline (-1 = none),
-/// EINTR restarts with the remaining budget. >0 ready, 0 deadline, <0
-/// error.
-int PollFd(int fd, short events, int64_t deadline_ms) {
-  for (;;) {
-    int timeout = -1;
-    if (deadline_ms >= 0) {
-      int64_t remaining = deadline_ms - NowMs();
-      if (remaining <= 0) return 0;
-      timeout = static_cast<int>(std::min<int64_t>(remaining, 1 << 30));
-    }
-    pollfd pfd{fd, events, 0};
-    int rc = ::poll(&pfd, 1, timeout);
-    if (rc < 0 && errno == EINTR) continue;
-    return rc;
-  }
-}
-
 /// A line-protocol connection to kolad. Every operation -- connect, send,
 /// read -- is bounded by the io deadline, mirroring the server's own
 /// read/write deadlines: a daemon that hangs mid-response costs one
 /// deadline, never a wedged soak driver.
 class Conn {
  public:
-  explicit Conn(int64_t io_deadline_ms) : io_deadline_ms_(io_deadline_ms) {}
-  ~Conn() {
-    if (fd_ >= 0) close(fd_);
-  }
+  Conn(int port, int64_t io_deadline_ms)
+      : io_deadline_ms_(io_deadline_ms),
+        fd_(DialLoopback(port, DeadlineAfter(io_deadline_ms))),
+        reader_(fd_.get()) {}
 
-  bool Connect(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    // Non-blocking from the start: the deadline must bound connect() too
-    // (a SIGSTOPped daemon leaves the port open but never accepts).
-    int flags = ::fcntl(fd_, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-            0 &&
-        errno != EINPROGRESS) {
-      return Fail();
-    }
-    if (PollFd(fd_, POLLOUT, Deadline()) <= 0) return Fail();
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0) {
-      return Fail();
-    }
-    return true;
-  }
+  bool connected() const { return fd_.valid(); }
 
   bool SendLine(const std::string& line) {
-    std::string framed = line + "\n";
-    const int64_t deadline = Deadline();
-    size_t sent = 0;
-    while (sent < framed.size()) {
-      if (PollFd(fd_, POLLOUT, deadline) <= 0) return false;
-      ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
-                         MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-          continue;
-        }
-        return false;
-      }
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool ReadLine(std::string* line) {
-    const int64_t deadline = Deadline();
-    for (;;) {
-      size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        *line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return true;
-      }
-      if (PollFd(fd_, POLLIN, deadline) <= 0) return false;
-      char chunk[4096];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 &&
-          (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-        continue;
-      }
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
+    return SendAll(fd_.get(), line + "\n", DeadlineAfter(io_deadline_ms_)) ==
+           IoResult::kOk;
   }
 
   /// Reads lines until the block terminator (a line starting "OK" or
   /// "ERR"), which is returned; "S ..." stats lines accumulate in `body`.
+  /// Each line gets the full io deadline.
   bool ReadBlock(std::string* final_line, std::string* body = nullptr) {
     std::string line;
     for (;;) {
-      if (!ReadLine(&line)) return false;
+      if (reader_.ReadLine(&line, kMaxResponseLineBytes,
+                           DeadlineAfter(io_deadline_ms_)) != IoResult::kOk) {
+        return false;
+      }
       if (line.rfind("OK", 0) == 0 || line.rfind("ERR", 0) == 0) {
         *final_line = line;
         return true;
@@ -169,18 +85,13 @@ class Conn {
   }
 
  private:
-  int64_t Deadline() const {
-    return io_deadline_ms_ > 0 ? NowMs() + io_deadline_ms_ : -1;
-  }
-  bool Fail() {
-    close(fd_);
-    fd_ = -1;
-    return false;
-  }
+  /// Far above any response kolad sends for kolaload's shapes; a peer
+  /// that streams more with no newline is broken, not slow.
+  static constexpr size_t kMaxResponseLineBytes = 64 << 20;
 
-  int fd_ = -1;
   int64_t io_deadline_ms_;
-  std::string buffer_;
+  ScopedFd fd_;
+  LineReader reader_;
 };
 
 /// The endpoint table shared by every client thread: --ports order is
@@ -295,9 +206,9 @@ class RetryingConn {
       if (index >= 0) {
         if (conn_ == nullptr || conn_index_ != index) {
           conn_.reset();
-          auto fresh = std::make_unique<Conn>(io_deadline_ms_);
-          if (fresh->Connect(pool_->PortAt(index)) &&
-              HealthGate(fresh.get())) {
+          auto fresh =
+              std::make_unique<Conn>(pool_->PortAt(index), io_deadline_ms_);
+          if (fresh->connected() && HealthGate(fresh.get())) {
             conn_ = std::move(fresh);
             conn_index_ = index;
           } else {
@@ -343,7 +254,7 @@ class RetryingConn {
   /// primary just died) eligible -- it still serves correct reads.
   static bool HealthGate(Conn* conn) {
     std::string line;
-    if (!conn->SendLine("HEALTH") || !conn->ReadLine(&line)) return false;
+    if (!conn->SendLine("HEALTH") || !conn->ReadBlock(&line)) return false;
     return line.rfind("OK", 0) == 0 &&
            line.find(" serving=0") == std::string::npos;
   }
@@ -655,11 +566,10 @@ int main(int argc, char** argv) {
     // one living daemon must acknowledge.
     int acked = 0;
     for (size_t e = 0; e < pool.size(); ++e) {
-      Conn direct(io_deadline_ms);
+      Conn direct(pool.PortAt(static_cast<int>(e)), io_deadline_ms);
       std::string response;
-      if (direct.Connect(pool.PortAt(static_cast<int>(e))) &&
-          direct.SendLine("SHUTDOWN") && direct.ReadBlock(&response) &&
-          response.rfind("OK", 0) == 0) {
+      if (direct.connected() && direct.SendLine("SHUTDOWN") &&
+          direct.ReadBlock(&response) && response.rfind("OK", 0) == 0) {
         ++acked;
       }
     }

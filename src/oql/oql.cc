@@ -137,12 +137,15 @@ class Parser {
   }
 
  private:
-  // Nesting bound for the recursive descent, mirroring the KOLA term
-  // parser's guard: every nesting level (parentheses, nested selects,
-  // `not` chains) costs a handful of native frames, so adversarially deep
-  // inputs off the wire must fail with RESOURCE_EXHAUSTED well before the
-  // native stack runs out. Real queries nest far below this.
-  static constexpr int kMaxNestingDepth = 1'000;
+  // Nesting bound for the recursive descent: adversarially deep inputs off
+  // the wire must fail with RESOURCE_EXHAUSTED before the native stack
+  // runs out, in every build. Each nesting level charges once: every
+  // recursion re-enters through ParseExpr (parens, nested selects,
+  // literals) or ParseNot. The costliest level, a nested select
+  // (ParseSelect and ParseExpr), takes about 12 KB of stack under
+  // AddressSanitizer, so 256 levels stay under 4 MB, half a default 8 MiB
+  // thread stack. Real queries nest far below this.
+  static constexpr int kMaxNestingDepth = 256;
 
   // Restores the depth a function entered with, so loop iterations can
   // charge EnterNesting once per constructed level (left-deep `or`/`and`
@@ -290,7 +293,6 @@ class Parser {
 
   StatusOr<ExprPtr> ParseOr() {
     DepthGuard guard{this, depth_};
-    KOLA_RETURN_IF_ERROR(EnterNesting());
     KOLA_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
     while (PeekIdent("or")) {
       KOLA_RETURN_IF_ERROR(EnterNesting());

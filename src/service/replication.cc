@@ -1,19 +1,11 @@
 #include "service/replication.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/line_io.h"
 #include "common/parse_number.h"
 #include "common/string_util.h"
 #include "service/plan_cache_io.h"
@@ -27,131 +19,19 @@ namespace {
 /// primary), not a snapshot; reading it would balloon the standby.
 constexpr uint64_t kMaxSyncBytes = 256ull << 20;
 
+/// The SYNC header line, "OK SNAPSHOT <len> <hex checksum>", is under 64
+/// bytes. A peer that streams more than this with no newline is not a
+/// primary; without the cap it could grow the standby's buffer until the
+/// io deadline.
+constexpr size_t kMaxSyncHeaderBytes = 4096;
+
 /// Cap on the full-jitter backoff between failed syncs.
 constexpr int64_t kMaxBackoffMs = 5000;
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+Status SyncError(const char* what, IoResult result) {
+  return UnavailableError(std::string("sync: ") + what + " " +
+                          IoResultName(result));
 }
-
-/// Same poll discipline as SocketServer: absolute deadline, EINTR restarts
-/// with the remaining budget. Returns >0 ready, 0 deadline, <0 error.
-int PollFd(int fd, short events, int64_t deadline_ms) {
-  for (;;) {
-    int64_t remaining = deadline_ms - NowMs();
-    if (remaining <= 0) return 0;
-    pollfd pfd{fd, events, 0};
-    int rc = ::poll(&pfd, 1,
-                    static_cast<int>(std::min<int64_t>(remaining, 1 << 30)));
-    if (rc < 0 && errno == EINTR) continue;
-    return rc;
-  }
-}
-
-Status Errno(const std::string& what) {
-  return UnavailableError(what + ": " + std::strerror(errno));
-}
-
-/// Non-blocking connect to 127.0.0.1:`port` bounded by the deadline. The
-/// returned fd stays non-blocking so every subsequent read/write goes
-/// through PollFd.
-StatusOr<int> DialLoopback(int port, int64_t deadline_ms) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("sync: socket()");
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-      errno != EINPROGRESS) {
-    Status status = Errno("sync: connect(127.0.0.1:" + std::to_string(port) +
-                          ")");
-    ::close(fd);
-    return status;
-  }
-  int ready = PollFd(fd, POLLOUT, deadline_ms);
-  if (ready <= 0) {
-    ::close(fd);
-    return UnavailableError("sync: connect(127.0.0.1:" +
-                            std::to_string(port) +
-                            (ready == 0 ? ") timed out" : ") poll failed"));
-  }
-  int err = 0;
-  socklen_t len = sizeof(err);
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0) {
-    ::close(fd);
-    return UnavailableError("sync: connect(127.0.0.1:" +
-                            std::to_string(port) + "): " +
-                            std::strerror(err != 0 ? err : errno));
-  }
-  return fd;
-}
-
-Status SendAll(int fd, std::string_view text, int64_t deadline_ms) {
-  size_t sent = 0;
-  while (sent < text.size()) {
-    int ready = PollFd(fd, POLLOUT, deadline_ms);
-    if (ready == 0) return UnavailableError("sync: send timed out");
-    if (ready < 0) return Errno("sync: poll(POLLOUT)");
-    ssize_t n = ::send(fd, text.data() + sent, text.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Errno("sync: send()");
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Reads until `*buffer` holds at least `want` bytes or EOF/deadline.
-Status ReadAtLeast(int fd, size_t want, int64_t deadline_ms,
-                   std::string* buffer) {
-  char chunk[1 << 16];
-  while (buffer->size() < want) {
-    int ready = PollFd(fd, POLLIN, deadline_ms);
-    if (ready == 0) return UnavailableError("sync: read timed out");
-    if (ready < 0) return Errno("sync: poll(POLLIN)");
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Errno("sync: recv()");
-    }
-    if (n == 0) {
-      return UnavailableError("sync: stream truncated (primary hung up)");
-    }
-    buffer->append(chunk, static_cast<size_t>(n));
-  }
-  return Status::OK();
-}
-
-/// Reads one '\n'-terminated line into `*line` (terminator stripped);
-/// leftover bytes stay in `*buffer` for the length-prefixed payload read.
-Status ReadLine(int fd, int64_t deadline_ms, std::string* buffer,
-                std::string* line) {
-  size_t scanned = 0;
-  for (;;) {
-    size_t newline = buffer->find('\n', scanned);
-    if (newline != std::string::npos) {
-      *line = buffer->substr(0, newline);
-      buffer->erase(0, newline + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return Status::OK();
-    }
-    scanned = buffer->size();
-    Status status = ReadAtLeast(fd, buffer->size() + 1, deadline_ms, buffer);
-    if (!status.ok()) return status;
-  }
-}
-
-struct FdCloser {
-  int fd;
-  ~FdCloser() { ::close(fd); }
-};
 
 }  // namespace
 
@@ -199,19 +79,21 @@ Status ReplicationClient::SyncOnce() {
       !injected.ok()) {
     return injected;
   }
-  const int64_t deadline = NowMs() + options_.io_deadline_ms;
-  StatusOr<int> dialed = DialLoopback(options_.port, deadline);
-  if (!dialed.ok()) return dialed.status();
-  FdCloser closer{dialed.value()};
-  const int fd = dialed.value();
-
-  if (Status status = SendAll(fd, "SYNC\n", deadline); !status.ok()) {
-    return status;
+  const int64_t deadline = DeadlineAfter(options_.io_deadline_ms);
+  ScopedFd fd = DialLoopback(options_.port, deadline);
+  if (!fd.valid()) {
+    return UnavailableError("sync: cannot connect to 127.0.0.1:" +
+                            std::to_string(options_.port));
   }
-  std::string buffer, header;
-  if (Status status = ReadLine(fd, deadline, &buffer, &header);
-      !status.ok()) {
-    return status;
+  if (IoResult sent = SendAll(fd.get(), "SYNC\n", deadline);
+      sent != IoResult::kOk) {
+    return SyncError("request", sent);
+  }
+  LineReader reader(fd.get());
+  std::string header;
+  if (IoResult read = reader.ReadLine(&header, kMaxSyncHeaderBytes, deadline);
+      read != IoResult::kOk) {
+    return SyncError("header", read);
   }
   // "OK SNAPSHOT <len> <hex checksum>" -- anything else (ERR NOT_READY
   // from a not-yet-synced upstream, an old binary) is a failed sync.
@@ -226,11 +108,11 @@ Status ReplicationClient::SyncOnce() {
     return UnavailableError("sync: malformed stream header '" + header + "'");
   }
   const size_t len = static_cast<size_t>(declared_len.value());
-  if (Status status = ReadAtLeast(fd, len, deadline, &buffer);
-      !status.ok()) {
-    return status;
+  std::string bytes;
+  if (IoResult read = reader.ReadExact(len, &bytes, deadline);
+      read != IoResult::kOk) {
+    return SyncError("stream", read);
   }
-  const std::string bytes = buffer.substr(0, len);
   bytes_received_.fetch_add(len, std::memory_order_relaxed);
 
   // End-to-end integrity: the checksum was computed over the bytes the

@@ -1,8 +1,6 @@
 #include "service/server.h"
 
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +13,7 @@
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "common/line_io.h"
 #include "common/string_util.h"
 
 namespace kola {
@@ -23,30 +22,6 @@ namespace {
 
 Status Errno(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
-}
-
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Polls `fd` for `events` up to `deadline_ms` (absolute, NowMs clock;
-/// -1 = no deadline). Returns >0 when ready, 0 on deadline, <0 on a
-/// non-EINTR error. EINTR restarts with the remaining budget.
-int PollFd(int fd, short events, int64_t deadline_ms) {
-  for (;;) {
-    int timeout = -1;
-    if (deadline_ms >= 0) {
-      int64_t remaining = deadline_ms - NowMs();
-      if (remaining <= 0) return 0;
-      timeout = static_cast<int>(std::min<int64_t>(remaining, 1 << 30));
-    }
-    pollfd pfd{fd, events, 0};
-    int rc = ::poll(&pfd, 1, timeout);
-    if (rc < 0 && errno == EINTR) continue;
-    return rc;
-  }
 }
 
 }  // namespace
@@ -122,8 +97,7 @@ void SocketServer::AcceptLoop() {
     }
     // Non-blocking + poll is what makes read/write deadlines enforceable:
     // a blocking recv/send could park a handler forever.
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    SetNonBlocking(fd);
     std::lock_guard<std::mutex> lock(threads_mu_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
@@ -134,45 +108,19 @@ void SocketServer::AcceptLoop() {
   }
 }
 
-bool SocketServer::SendAll(int fd, const std::string& text) {
-  const int64_t deadline =
-      options_.write_deadline_ms > 0 ? NowMs() + options_.write_deadline_ms
-                                     : -1;
-  size_t sent = 0;
-  while (sent < text.size()) {
-    int ready = PollFd(fd, POLLOUT, deadline);
-    if (ready == 0) {
-      // The peer has not drained its receive window within the write
-      // deadline: a reader that stopped reading. Cut the connection.
-      write_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (ready < 0) {
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    size_t want = text.size() - sent;
-    if (want > 1 && !MaybeInjectFault(FaultSite::kSend).ok()) {
-      // Injected partial write: hand the kernel a single byte so the
-      // short-write continuation path runs under chaos, deterministically.
-      want = 1;
-    }
-    // MSG_NOSIGNAL: a peer that hung up must cost us one connection, not a
-    // SIGPIPE for the whole daemon.
-    ssize_t n = ::send(fd, text.data() + sent, want, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;
-      }
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (static_cast<size_t>(n) < text.size() - sent) {
-      short_writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    sent += static_cast<size_t>(n);
+bool SocketServer::Reply(int fd, const std::string& text) {
+  uint64_t short_writes = 0;
+  IoResult sent = SendAll(fd, text, DeadlineAfter(options_.write_deadline_ms),
+                          FaultSite::kSend, &short_writes);
+  short_writes_.fetch_add(short_writes, std::memory_order_relaxed);
+  if (sent == IoResult::kTimeout) {
+    // The peer has not drained its receive window within the write
+    // deadline: a reader that stopped reading. Cut the connection.
+    write_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  } else if (sent != IoResult::kOk) {
+    send_failures_.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
+  return sent == IoResult::kOk;
 }
 
 void SocketServer::ServeConnection(int fd) {
@@ -188,80 +136,7 @@ void SocketServer::ServeConnection(int fd) {
     ++active_handlers_;
   }
 
-  std::string buffer;
-  char chunk[4096];
-  bool alive = !stopping_.load(std::memory_order_acquire);
-  // The read-deadline clock starts when the handler slot is acquired and
-  // restarts only when a COMPLETE line has been served: a slow-loris
-  // dribbling bytes cannot keep a slot by resetting an idle timer.
-  int64_t line_deadline =
-      options_.read_deadline_ms > 0 ? NowMs() + options_.read_deadline_ms
-                                    : -1;
-  while (alive) {
-    size_t newline;
-    while (alive && (newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      std::string_view trimmed = StripWhitespace(line);
-      if (trimmed.empty()) continue;
-      if (trimmed == "QUIT") {
-        SendAll(fd, "OK bye\n");
-        alive = false;
-        break;
-      }
-      if (trimmed == "SHUTDOWN") {
-        SendAll(fd, "OK shutting down\n");
-        alive = false;
-        RequestShutdown();
-        break;
-      }
-      std::string response = service_->HandleLine(line);
-      response += '\n';
-      if (!SendAll(fd, response)) {
-        alive = false;
-        break;
-      }
-      if (options_.read_deadline_ms > 0) {
-        line_deadline = NowMs() + options_.read_deadline_ms;
-      }
-    }
-    if (!alive) break;
-    if (buffer.size() > options_.max_line_bytes) {
-      SendAll(fd, "ERR INVALID_ARGUMENT: request line exceeds " +
-                      std::to_string(options_.max_line_bytes) + " bytes\n");
-      break;
-    }
-    int ready = PollFd(fd, POLLIN, line_deadline);
-    if (ready == 0) {
-      // Read deadline: no complete request within the budget. Tell the
-      // peer why (best effort) and give the slot back.
-      read_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(fd, "ERR DEADLINE_EXCEEDED: no complete request within " +
-                      std::to_string(options_.read_deadline_ms) + " ms\n");
-      break;
-    }
-    if (ready < 0) {
-      resets_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    if (!MaybeInjectFault(FaultSite::kRecv).ok()) {
-      // Injected connection reset: the peer vanished mid-request.
-      resets_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 &&
-        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;  // spurious wakeup; the deadline still bounds the loop
-    }
-    if (n < 0) {
-      resets_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    if (n == 0) break;  // EOF, Drain()'s half-close, or Stop()'s shutdown()
-    buffer.append(chunk, static_cast<size_t>(n));
-  }
+  if (!stopping_.load(std::memory_order_acquire)) ServeLines(fd);
 
   ::shutdown(fd, SHUT_RDWR);
   {
@@ -273,6 +148,53 @@ void SocketServer::ServeConnection(int fd) {
   // notify_all: slot waiters AND a Drain() waiting for the floor to clear.
   slot_cv_.notify_all();
   ::close(fd);
+}
+
+void SocketServer::ServeLines(int fd) {
+  LineReader reader(fd, FaultSite::kRecv);
+  // The read-deadline clock starts when the handler slot is acquired and
+  // restarts only when a COMPLETE line has been served: a slow-loris
+  // dribbling bytes cannot keep a slot by resetting an idle timer.
+  int64_t line_deadline = DeadlineAfter(options_.read_deadline_ms);
+  for (;;) {
+    std::string line;
+    IoResult read =
+        reader.ReadLine(&line, options_.max_line_bytes, line_deadline);
+    if (read == IoResult::kTimeout) {
+      // Read deadline: no complete request within the budget. Tell the
+      // peer why (best effort) and give the slot back.
+      read_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      Reply(fd, "ERR DEADLINE_EXCEEDED: no complete request within " +
+                      std::to_string(options_.read_deadline_ms) + " ms\n");
+      return;
+    }
+    if (read == IoResult::kTooLong) {
+      Reply(fd, "ERR INVALID_ARGUMENT: request line exceeds " +
+                      std::to_string(options_.max_line_bytes) + " bytes\n");
+      return;
+    }
+    if (read == IoResult::kFailed) {
+      // A recv error or an injected reset: the peer vanished mid-request.
+      resets_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (read != IoResult::kOk) return;  // EOF, Drain()'s half-close, Stop()
+    std::string_view trimmed = StripWhitespace(line);
+    if (trimmed.empty()) continue;
+    if (trimmed == "QUIT") {
+      Reply(fd, "OK bye\n");
+      return;
+    }
+    if (trimmed == "SHUTDOWN") {
+      Reply(fd, "OK shutting down\n");
+      RequestShutdown();
+      return;
+    }
+    std::string response = service_->HandleLine(line);
+    response += '\n';
+    if (!Reply(fd, response)) return;
+    line_deadline = DeadlineAfter(options_.read_deadline_ms);
+  }
 }
 
 void SocketServer::Wait() {

@@ -33,7 +33,7 @@ struct ServerOptions {
   /// DEADLINE_EXCEEDED and closed. Dribbling one byte at a time does not
   /// reset the clock -- only a finished request does. 0 disables.
   int64_t read_deadline_ms = 0;
-  /// Write deadline: one response (one SendAll call) that cannot be fully
+  /// Write deadline: one response (one Reply call) that cannot be fully
   /// handed to the kernel within this many milliseconds -- a peer that
   /// stopped reading -- drops the connection. 0 disables.
   int64_t write_deadline_ms = 0;
@@ -115,12 +115,14 @@ class SocketServer {
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
-  /// False when the peer vanished mid-write or the write deadline expired;
-  /// the caller drops the connection (never a signal: sends pass
-  /// MSG_NOSIGNAL). Handles EINTR and short writes explicitly, and clamps
-  /// writes to 1 byte under an injected `send` fault so the
-  /// short-write path is exercised deterministically.
-  bool SendAll(int fd, const std::string& text);
+  /// Reads and answers request lines until the peer leaves, a deadline or
+  /// the line cap cuts it off, or QUIT/SHUTDOWN.
+  void ServeLines(int fd);
+  /// Sends `text` (line_io's SendAll) under the write deadline and the
+  /// `send` fault site, counted into the server's stats. False when the
+  /// peer vanished mid-write or the deadline expired; the caller drops the
+  /// connection.
+  bool Reply(int fd, const std::string& text);
 
   OptimizationService* service_;
   ServerOptions options_;

@@ -8,6 +8,7 @@
 
 #include "aqua/parser.h"
 #include "common/fault_injection.h"
+#include "common/line_io.h"
 #include "common/string_util.h"
 #include "oql/oql.h"
 #include "rules/catalog.h"
@@ -35,12 +36,6 @@ constexpr int kSyncingAfterFailures = 2;
 /// Bound on the health transition history kept for STATS; only the recent
 /// tail (e.g. READY>SYNCING>READY around a failover) is interesting.
 constexpr size_t kHealthHistoryLimit = 8;
-
-int64_t NowSteadyMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string FormatDouble(double value) {
   char buf[64];
@@ -167,14 +162,12 @@ OptimizationService::OptimizationService(const Database* db,
       properties_(properties),
       options_(std::move(options)),
       rule_fingerprint_(Catalog::Get().fingerprint()),
-      cache_(options_.cache_capacity) {
+      cache_(options_.cache_capacity),
+      optimizer_(properties_, db_),
+      optimize_slots_(std::max(options_.jobs, 1)) {
   if (options_.jobs < 1) options_.jobs = 1;
   if (options_.tiers.empty()) options_.tiers = DefaultTiers();
   tier_latency_.resize(options_.tiers.size());
-  for (int i = 0; i < options_.jobs; ++i) {
-    optimizer_pool_.push_back(
-        std::make_unique<Optimizer>(properties_, db_));
-  }
   role_.store(static_cast<int>(options_.standby ? ServiceRole::kStandby
                                                 : ServiceRole::kPrimary),
               std::memory_order_release);
@@ -270,23 +263,6 @@ StatusOr<TermPtr> OptimizationService::ParseRequest(
       return ParseQuery(text);
   }
   return InternalError("bad query language");
-}
-
-std::unique_ptr<Optimizer> OptimizationService::AcquireOptimizer() {
-  std::unique_lock<std::mutex> lock(pool_mu_);
-  pool_cv_.wait(lock, [&] { return !optimizer_pool_.empty(); });
-  std::unique_ptr<Optimizer> optimizer = std::move(optimizer_pool_.back());
-  optimizer_pool_.pop_back();
-  return optimizer;
-}
-
-void OptimizationService::ReleaseOptimizer(
-    std::unique_ptr<Optimizer> optimizer) {
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    optimizer_pool_.push_back(std::move(optimizer));
-  }
-  pool_cv_.notify_one();
 }
 
 void OptimizationService::RecordOutcome(const TierPolicy& tier,
@@ -504,7 +480,7 @@ SnapshotRestoreReport OptimizationService::ApplySyncBytes(
   ReviveEntries(snapshot, adopted, &report.restored, &report.skipped);
   report.status = Status::OK();
 
-  last_sync_time_ms_.store(NowSteadyMs(), std::memory_order_release);
+  last_sync_time_ms_.store(NowMs(), std::memory_order_release);
   consecutive_sync_failures_.store(0, std::memory_order_release);
   sync_ready_.store(true, std::memory_order_release);
   {
@@ -531,7 +507,7 @@ std::string OptimizationService::HealthLine() const {
   out += " synced=";
   out += synced ? '1' : '0';
   out += " lag_ms=";
-  out += last < 0 ? "-1" : std::to_string(NowSteadyMs() - last);
+  out += last < 0 ? "-1" : std::to_string(NowMs() - last);
   out += " version=" + std::to_string(catalog_version());
   return out;
 }
@@ -629,13 +605,13 @@ ServiceResponse OptimizationService::Handle(const ServiceRequest& request) {
   retry.max_attempts = tier->max_attempts;
   retry.escalation_factor = tier->escalation_factor;
 
-  std::unique_ptr<Optimizer> optimizer = AcquireOptimizer();
+  optimize_slots_.acquire();
   // Jitter index 0: the escalation schedule is a pure function of the
   // tier, so repeated shapes optimize identically regardless of arrival
   // order -- a warm hit must be indistinguishable from a fresh pass.
-  RetrySupervisor supervisor(optimizer.get(), retry);
+  RetrySupervisor supervisor(&optimizer_, retry);
   RetryOutcome outcome = supervisor.Optimize(canonical, 0);
-  ReleaseOptimizer(std::move(optimizer));
+  optimize_slots_.release();
 
   if (!outcome.ok() || !outcome.result.has_value()) {
     response.status = outcome.ok()
@@ -766,7 +742,7 @@ ServiceStats OptimizationService::stats() const {
       consecutive_sync_failures_.load(std::memory_order_acquire);
   snapshot.promoted = role() == ServiceRole::kPromoted;
   const int64_t last = last_sync_time_ms_.load(std::memory_order_acquire);
-  snapshot.last_sync_lag_ms = last < 0 ? -1 : NowSteadyMs() - last;
+  snapshot.last_sync_lag_ms = last < 0 ? -1 : NowMs() - last;
   snapshot.cache = cache_.stats();
   snapshot.catalog_version = catalog_version();
   snapshot.rule_fingerprint = rule_fingerprint_;

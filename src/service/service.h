@@ -3,11 +3,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,13 +71,13 @@ struct ServiceOptions {
   /// second-chance, see PlanCache.
   size_t cache_capacity = 4096;
   bool cache_enabled = true;
-  /// Worker parallelism: how many optimizations may run concurrently (one
-  /// pooled Optimizer each). Clamped to >= 1.
+  /// Worker parallelism: how many optimizations may run concurrently on
+  /// the service's one shared Optimizer. Clamped to >= 1.
   int jobs = 1;
   /// Admission control: with a positive bound, a request arriving while
   /// this many are already in flight is shed with RESOURCE_EXHAUSTED
-  /// (counted, never fatal). 0 = unlimited (requests queue on the
-  /// optimizer pool instead).
+  /// (counted, never fatal). 0 = unlimited (requests queue for one of the
+  /// `jobs` optimization slots instead).
   int max_inflight = 0;
   /// Tier table; must be non-empty. The first tier is the default.
   std::vector<TierPolicy> tiers = DefaultTiers();
@@ -129,7 +128,7 @@ struct ServiceStats {
   int64_t peak_bytes = 0;   // max total governed bytes of any one request
   int64_t category_peak_bytes[kNumMemoryCategories] = {};
   /// Equality-saturation phase counters (all zero unless KOLA_EGRAPH /
-  /// RewriterOptions::use_egraph is on for the pooled optimizers).
+  /// RewriterOptions::use_egraph is on for the service's optimizer).
   uint64_t egraph_runs = 0;       // requests whose pass ran the e-graph
   uint64_t egraph_nodes = 0;      // cumulative e-nodes across those runs
   uint64_t egraph_classes = 0;    // cumulative e-classes across those runs
@@ -181,11 +180,10 @@ int LatencyBucket(int64_t usec);
 /// The engine behind `kolad`: parses KOLA/OQL/AQUA text, optimizes under
 /// per-tenant QoS tiers, and answers repeated query shapes from the plan
 /// cache. Composes the existing library primitives -- a shared key
-/// interner, per-tier Governor envelopes, RetrySupervisor escalation,
-/// pooled Optimizers -- into one long-lived, shed-don't-crash component.
-/// Thread-safe: Handle may be called from any number of threads;
-/// optimizations are serialized onto options.jobs pooled Optimizer
-/// instances.
+/// interner, per-tier Governor envelopes, RetrySupervisor escalation, one
+/// shared Optimizer -- into one long-lived, shed-don't-crash component.
+/// Thread-safe: Handle may be called from any number of threads; at most
+/// options.jobs optimizations run at once.
 class OptimizationService {
  public:
   /// `db` and `properties` must outlive the service and stay unmodified
@@ -297,8 +295,6 @@ class OptimizationService {
   const TierPolicy* FindTier(const std::string& name) const;
   StatusOr<TermPtr> ParseRequest(QueryLanguage language,
                                  const std::string& text) const;
-  std::unique_ptr<Optimizer> AcquireOptimizer();
-  void ReleaseOptimizer(std::unique_ptr<Optimizer> optimizer);
   void RecordOutcome(const TierPolicy& tier, const RetryReport& report,
                      int64_t latency_usec);
   void MaybeCompactKeyInterner();
@@ -337,11 +333,12 @@ class OptimizationService {
   PlanCache cache_;
   uint64_t compacted_at_evictions_ = 0;  // guarded by stats_mu_
 
-  /// Idle per-worker Optimizer clones; Handle blocks here when more than
-  /// options.jobs requests want to optimize at once.
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  std::vector<std::unique_ptr<Optimizer>> optimizer_pool_;
+  /// Shared by every request: Optimize holds no per-query state, and a
+  /// governed pass runs on its own per-call Rewriter.
+  const Optimizer optimizer_;
+  /// One slot per optimization allowed to run at once (options.jobs);
+  /// Handle blocks here when all are taken.
+  std::counting_semaphore<> optimize_slots_;
 
   std::atomic<int> inflight_{0};
 

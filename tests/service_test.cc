@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/line_io.h"
 #include "common/parse_number.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -561,55 +563,45 @@ TEST_F(ServiceTest, EgraphCountersSurfaceInStats) {
 // SocketServer end to end
 // ---------------------------------------------------------------------------
 
+/// A line client on line_io. Every call is bounded by a generous deadline,
+/// so a hung server fails the test in seconds instead of wedging it. A
+/// call returns false on EOF or a reset, as a blocking socket would; a
+/// timeout, or a line over the client's cap, fails the test.
 class TestClient {
  public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+  explicit TestClient(int port)
+      : fd_(DialLoopback(port, DeadlineAfter(kDeadlineMs))),
+        reader_(fd_.get()) {}
 
-  bool connected() const { return connected_; }
-  int fd() const { return fd_; }
+  bool connected() const { return fd_.valid(); }
+  int fd() const { return fd_.get(); }
 
   /// Raw bytes, no newline appended: for framing / slow-loris tests.
   bool SendRaw(const std::string& bytes) {
-    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
-           static_cast<ssize_t>(bytes.size());
+    return Succeeded(SendAll(fd_.get(), bytes, DeadlineAfter(kDeadlineMs)));
   }
 
-  bool Send(const std::string& line) {
-    std::string framed = line + "\n";
-    return ::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL) ==
-           static_cast<ssize_t>(framed.size());
-  }
+  bool Send(const std::string& line) { return SendRaw(line + "\n"); }
 
   bool ReadLine(std::string* line) {
-    for (;;) {
-      size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        *line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
+    return Succeeded(
+        reader_.ReadLine(line, kMaxLineBytes, DeadlineAfter(kDeadlineMs)));
   }
 
  private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
+  static bool Succeeded(IoResult result) {
+    if (result != IoResult::kOk && result != IoResult::kClosed &&
+        result != IoResult::kFailed) {
+      ADD_FAILURE() << "test client: " << IoResultName(result);
+    }
+    return result == IoResult::kOk;
+  }
+
+  static constexpr int64_t kDeadlineMs = 10'000;
+  static constexpr size_t kMaxLineBytes = 64 << 20;
+
+  ScopedFd fd_;
+  LineReader reader_;
 };
 
 TEST_F(ServiceTest, SocketServerEndToEnd) {
@@ -1497,6 +1489,66 @@ TEST_F(ServiceTest, InjectedReplFaultTearsSyncStreamsDetectably) {
   ASSERT_TRUE(synced.ok()) << synced.ToString();
   EXPECT_TRUE(standby.ServingReads());
   server.Stop();
+}
+
+TEST_F(ServiceTest, SyncHeaderWithoutNewlineFailsAtTheHeaderCap) {
+  // A fake primary that answers SYNC with a megabyte and no newline. The
+  // standby must give up at its header cap, not buffer the stream until
+  // the io deadline.
+  ScopedFd listener(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(listener.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(listener.get(), reinterpret_cast<sockaddr*>(&addr),
+                   addr_len),
+            0);
+  ASSERT_EQ(::listen(listener.get(), 1), 0);
+  ASSERT_EQ(::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  std::thread primary([&listener] {
+    if (PollFd(listener.get(), POLLIN, DeadlineAfter(10'000)) <= 0) return;
+    ScopedFd conn(::accept(listener.get(), nullptr, nullptr));
+    if (!conn.valid()) return;
+    SetNonBlocking(conn.get());
+    LineReader reader(conn.get());
+    std::string request;
+    if (reader.ReadLine(&request, 64, DeadlineAfter(10'000)) !=
+        IoResult::kOk) {
+      return;
+    }
+    // The standby hangs up after its cap, so this send may fail.
+    SendAll(conn.get(), std::string(1 << 20, 'x'), DeadlineAfter(10'000));
+  });
+
+  // The standby draws no socket faults: with recv and send certain to
+  // fail, a draw would fail the sync for another reason.
+  FaultInjector injector(21);
+  injector.set_rate(FaultSite::kRecv, 1.0);
+  injector.set_rate(FaultSite::kSend, 1.0);
+  SetProcessFaultInjector(&injector);
+  ServiceOptions standby_options;
+  standby_options.standby = true;
+  OptimizationService standby(db_.get(), &properties_, standby_options);
+  ReplicationOptions repl;
+  repl.port = ntohs(addr.sin_port);
+  repl.io_deadline_ms = 10'000;
+  ReplicationClient client(&standby, repl);
+  Status synced = client.SyncOnce();
+  SetProcessFaultInjector(nullptr);
+  primary.join();
+
+  EXPECT_FALSE(synced.ok());
+  EXPECT_NE(synced.message().find("line too long"), std::string::npos)
+      << synced.ToString();
+  EXPECT_EQ(injector.draws(FaultSite::kRecv), 0u);
+  EXPECT_EQ(injector.draws(FaultSite::kSend), 0u);
+  EXPECT_FALSE(standby.ServingReads());
+  EXPECT_EQ(standby.HandleLine("Q gold oql select p.age from p in P")
+                .rfind("ERR NOT_READY", 0),
+            0u);
 }
 
 TEST_F(ServiceTest, ApplySyncBytesRejectsGarbageAndForeignStreams) {
