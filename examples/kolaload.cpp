@@ -243,9 +243,12 @@ class RetryingConn {
     }
   }
 
-  /// Fire-and-forget (QUIT): best effort, no retry.
-  void SendLine(const std::string& line) {
-    if (conn_ != nullptr) conn_->SendLine(line);
+  /// Says QUIT (best effort, no retry) and drops the connection, freeing
+  /// the daemon's handler slot for whoever connects next.
+  void Close() {
+    if (conn_ != nullptr) conn_->SendLine("QUIT");
+    conn_.reset();
+    conn_index_ = -1;
   }
 
  private:
@@ -445,7 +448,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    warm.SendLine("QUIT");
+    warm.Close();
   }
 
   std::vector<std::thread> workers;
@@ -478,7 +481,7 @@ int main(int argc, char** argv) {
           std::this_thread::sleep_for(std::chrono::milliseconds(think_ms));
         }
       }
-      conn.SendLine("QUIT");
+      conn.Close();
     });
   }
   for (std::thread& t : workers) t.join();
@@ -559,6 +562,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  // An idle control connection would hold a handler slot, and a daemon
+  // with one handler would queue the SHUTDOWN connections behind it.
+  control.Close();
+
   if (shutdown_daemon) {
     // Drain the whole fleet, one direct connection per endpoint (the
     // pool would route every SHUTDOWN to the same healthy survivor).
@@ -580,8 +587,6 @@ int main(int argc, char** argv) {
       std::printf("kolaload: shutdown acknowledged by %d endpoint(s)\n",
                   acked);
     }
-  } else {
-    control.SendLine("QUIT");
   }
 
   return failed ? 1 : 0;

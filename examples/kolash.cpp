@@ -21,23 +21,18 @@
 #include <sstream>
 #include <string>
 
-#include "aqua/parser.h"
 #include "common/fault_injection.h"
 #include "eval/evaluator.h"
-#include "oql/oql.h"
 #include "optimizer/optimizer.h"
 #include "rewrite/rule_index.h"
 #include "rewrite/verifier.h"
 #include "rules/catalog.h"
-#include "term/parser.h"
 #include "translate/translate.h"
 #include "values/car_world.h"
 
 namespace {
 
 using namespace kola;  // NOLINT: example brevity
-
-enum class Mode { kOql, kAqua, kKola };
 
 void PrintHelp() {
   std::printf(
@@ -49,25 +44,6 @@ void PrintHelp() {
       "  :stats                rule-index / memory statistics\n"
       "  :help                 this text\n"
       "  :quit                 exit\n");
-}
-
-StatusOr<TermPtr> ParseInput(Mode mode, const std::string& line) {
-  Translator translator;
-  switch (mode) {
-    case Mode::kOql: {
-      auto lowered = oql::ParseOql(line);
-      if (!lowered.ok()) return lowered.status();
-      return translator.TranslateQuery(lowered.value());
-    }
-    case Mode::kAqua: {
-      auto expr = aqua::ParseAqua(line);
-      if (!expr.ok()) return expr.status();
-      return translator.TranslateQuery(expr.value());
-    }
-    case Mode::kKola:
-      return ParseQuery(line);
-  }
-  return InternalError("bad mode");
 }
 
 }  // namespace
@@ -97,7 +73,7 @@ int main() {
   Optimizer optimizer(&properties, db.get(), engine_options);
   const Catalog& catalog = Catalog::Get();
 
-  Mode mode = Mode::kOql;
+  QueryLanguage language = QueryLanguage::kOql;
   bool trace = false;
   bool tty = true;
 
@@ -123,10 +99,12 @@ int main() {
       if (command == "help") {
         PrintHelp();
       } else if (command == "mode") {
-        if (argument == "oql") mode = Mode::kOql;
-        else if (argument == "aqua") mode = Mode::kAqua;
-        else if (argument == "kola") mode = Mode::kKola;
-        else std::printf("unknown mode '%s'\n", argument.c_str());
+        auto parsed = ParseQueryLanguage(argument);
+        if (parsed.ok()) {
+          language = parsed.value();
+        } else {
+          std::printf("error: %s\n", parsed.status().ToString().c_str());
+        }
       } else if (command == "trace") {
         trace = argument != "off";
       } else if (command == "schema") {
@@ -189,7 +167,7 @@ int main() {
       continue;
     }
 
-    auto query = ParseInput(mode, line);
+    auto query = ParseQueryText(language, line);
     if (!query.ok()) {
       std::printf("error: %s\n", query.status().ToString().c_str());
       continue;

@@ -11,23 +11,26 @@ namespace aqua {
 
 /// Parses AQUA concrete syntax:
 ///
-///   expr    := orE
-///   orE     := andE ('or' andE)*
-///   andE    := notE ('and' notE)*
-///   notE    := 'not' notE | cmp
-///   cmp     := path (('==' '!=' '<' '<=' '>' '>=' 'in') path)?
-///   path    := primary ('.' IDENT)*
-///   primary := INT | STRING | '{' '}' | IDENT
-///           | '[' expr ',' expr ']' | '(' expr ')'
-///           | 'app' '(' lambda ')' '(' expr ')'
-///           | 'sel' '(' lambda ')' '(' expr ')'
-///           | 'flatten' '(' expr ')'
-///           | 'join' '(' lambda ',' lambda ')' '(' expr ',' expr ')'
-///           | 'if' expr 'then' expr 'else' expr
+///   expr    := and ('or' and)*
+///   and     := not ('and' not)*
+///   not     := 'not' not | primary (CMP primary)?
+///   CMP     := '==' | '!=' | '<' | '<=' | '>' | '>=' | 'in'
+///   primary := head ('.' IDENT)*
+///   head    := INT | STRING | 'true' | 'false' | IDENT
+///            | '{' (expr (',' expr)*)? '}'        -- constants only
+///            | '[' expr ',' expr ']' | '(' expr ')'
+///            | 'app' '(' lambda ')' '(' expr ')'
+///            | 'sel' '(' lambda ')' '(' expr ')'
+///            | 'flatten' '(' expr ')'
+///            | 'join' '(' lambda ',' lambda ')' '(' expr ',' expr ')'
+///            | 'if' expr 'then' expr 'else' expr
 ///   lambda  := '\' IDENT IDENT? '.' expr
 ///
-/// An identifier is a variable reference when bound by an enclosing
-/// lambda, otherwise a collection name. Example (the paper's A4):
+/// Identifiers may contain primes (`p'`). An identifier is a variable
+/// reference when bound by an enclosing lambda, otherwise a collection
+/// name. Everything but `head`'s lambda calls, `if` and parens is the
+/// expression core OQL shares (aqua/expr_parser.h). Example (the paper's
+/// A4):
 ///
 ///   app(\p. [p, sel(\c. p.age > 25)(p.child)])(P)
 StatusOr<ExprPtr> ParseAqua(std::string_view text);

@@ -14,15 +14,19 @@ namespace oql {
 /// OQL [9] and AQUA [25]"; like the paper's, this front end covers queries
 /// over sets (no bags/lists).
 ///
-///   query    := 'select' expr 'from' binding (',' binding)*
-///               ('where' pred)?
-///   binding  := IDENT 'in' expr
-///   pred     := disjunctions/conjunctions/negations of comparisons
-///               (== != < <= > >= in) over exprs, with parentheses
-///   expr     := path | INT | STRING | '[' expr ',' expr ']'
-///             | '(' query ')'                      -- nested subquery
-///             | '{' (const (',' const)*)? '}'
-///   path     := IDENT ('.' IDENT)*
+/// OQL's expressions are AQUA's (aqua/expr_parser.h): one lexer, and one
+/// grammar for `expr`, `and`, `not`, comparisons, literals and names with
+/// `.`-paths, serve both languages. OQL's own productions are
+///
+///   query    := 'select' operand 'from' binding (',' binding)*
+///               ('where' expr)?
+///   binding  := IDENT 'in' operand
+///   operand  := '(' query ')' | 'flatten' '(' (query | operand) ')'
+///             | '(' expr ')' | common
+///
+/// where `common` (aqua/expr_parser.h) takes operands as its set and tuple
+/// elements. Unlike AQUA, only names take `.`-paths, and OQL has no
+/// lambdas: `\` and primed identifiers are rejected.
 ///
 /// Lowering: `select E from x1 in C1, ..., xk in Ck where Q` becomes the
 /// AQUA nest

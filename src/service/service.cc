@@ -6,11 +6,9 @@
 #include <cstdio>
 #include <utility>
 
-#include "aqua/parser.h"
 #include "common/fault_injection.h"
 #include "common/line_io.h"
 #include "common/string_util.h"
-#include "oql/oql.h"
 #include "rules/catalog.h"
 #include "service/plan_cache_io.h"
 #include "term/parser.h"
@@ -85,26 +83,6 @@ int LatencyBucket(int64_t usec) {
   if (usec <= 0) return 0;
   int bucket = std::bit_width(static_cast<uint64_t>(usec)) - 1;
   return std::min(bucket, LatencyHistogram::kBuckets - 1);
-}
-
-StatusOr<QueryLanguage> ParseQueryLanguage(std::string_view name) {
-  if (name == "kola") return QueryLanguage::kKola;
-  if (name == "oql") return QueryLanguage::kOql;
-  if (name == "aqua") return QueryLanguage::kAqua;
-  return InvalidArgumentError("unknown query language '" + std::string(name) +
-                              "' (expected kola, oql or aqua)");
-}
-
-const char* QueryLanguageName(QueryLanguage language) {
-  switch (language) {
-    case QueryLanguage::kKola:
-      return "kola";
-    case QueryLanguage::kOql:
-      return "oql";
-    case QueryLanguage::kAqua:
-      return "aqua";
-  }
-  return "unknown";
 }
 
 const char* ServiceRoleName(ServiceRole role) {
@@ -243,26 +221,6 @@ const TierPolicy* OptimizationService::FindTier(
     if (tier.name == name) return &tier;
   }
   return nullptr;
-}
-
-StatusOr<TermPtr> OptimizationService::ParseRequest(
-    QueryLanguage language, const std::string& text) const {
-  Translator translator;
-  switch (language) {
-    case QueryLanguage::kOql: {
-      auto lowered = oql::ParseOql(text);
-      if (!lowered.ok()) return lowered.status();
-      return translator.TranslateQuery(lowered.value());
-    }
-    case QueryLanguage::kAqua: {
-      auto expr = aqua::ParseAqua(text);
-      if (!expr.ok()) return expr.status();
-      return translator.TranslateQuery(expr.value());
-    }
-    case QueryLanguage::kKola:
-      return ParseQuery(text);
-  }
-  return InternalError("bad query language");
 }
 
 void OptimizationService::RecordOutcome(const TierPolicy& tier,
@@ -571,7 +529,7 @@ ServiceResponse OptimizationService::Handle(const ServiceRequest& request) {
     return finish();
   }
 
-  StatusOr<TermPtr> parsed = ParseRequest(request.language, request.text);
+  StatusOr<TermPtr> parsed = ParseQueryText(request.language, request.text);
   if (!parsed.ok()) {
     response.status = parsed.status();
     std::lock_guard<std::mutex> lock(stats_mu_);

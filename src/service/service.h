@@ -19,15 +19,10 @@
 #include "service/plan_cache.h"
 #include "service/plan_cache_io.h"
 #include "term/intern.h"
+#include "translate/translate.h"
 #include "values/database.h"
 
 namespace kola {
-
-/// Which front end parses a request's query text.
-enum class QueryLanguage { kKola, kOql, kAqua };
-
-StatusOr<QueryLanguage> ParseQueryLanguage(std::string_view name);
-const char* QueryLanguageName(QueryLanguage language);
 
 /// Replication role. A primary is the source of truth; a standby follows a
 /// primary via snapshot shipping (replication.h) and refuses BUMP; a
@@ -293,8 +288,6 @@ class OptimizationService {
 
  private:
   const TierPolicy* FindTier(const std::string& name) const;
-  StatusOr<TermPtr> ParseRequest(QueryLanguage language,
-                                 const std::string& text) const;
   void RecordOutcome(const TierPolicy& tier, const RetryReport& report,
                      int64_t latency_usec);
   void MaybeCompactKeyInterner();

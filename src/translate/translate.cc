@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "aqua/parser.h"
 #include "common/macros.h"
+#include "oql/oql.h"
+#include "term/parser.h"
 
 namespace kola {
 
@@ -302,6 +305,25 @@ StatusOr<TranslationSizes> MeasureTranslation(const ExprPtr& expr,
   sizes.kola_nodes = term->node_count();
   sizes.max_env_depth = MaxEnvDepth(expr);
   return sizes;
+}
+
+StatusOr<QueryLanguage> ParseQueryLanguage(std::string_view name) {
+  if (name == "kola") return QueryLanguage::kKola;
+  if (name == "oql") return QueryLanguage::kOql;
+  if (name == "aqua") return QueryLanguage::kAqua;
+  return InvalidArgumentError("unknown query language '" + std::string(name) +
+                              "' (expected kola, oql or aqua)");
+}
+
+StatusOr<TermPtr> ParseQueryText(QueryLanguage language,
+                                 std::string_view text) {
+  if (language == QueryLanguage::kKola) return ParseQuery(text);
+  StatusOr<ExprPtr> expr = language == QueryLanguage::kOql
+                               ? oql::ParseOql(text)
+                               : aqua::ParseAqua(text);
+  if (!expr.ok()) return expr.status();
+  Translator translator;
+  return translator.TranslateQuery(expr.value());
 }
 
 }  // namespace kola

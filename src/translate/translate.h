@@ -2,6 +2,7 @@
 #define KOLA_TRANSLATE_TRANSLATE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aqua/expr.h"
@@ -96,6 +97,17 @@ StatusOr<TranslationSizes> MeasureTranslation(
 
 /// Maximum lambda-nesting depth of an AQUA expression (the paper's m).
 size_t MaxEnvDepth(const aqua::ExprPtr& expr);
+
+/// Which front end parses a query's text.
+enum class QueryLanguage { kKola, kOql, kAqua };
+
+/// "kola", "oql" or "aqua".
+StatusOr<QueryLanguage> ParseQueryLanguage(std::string_view name);
+
+/// Parses `text` to an object-sorted KOLA query: KOLA text directly, OQL
+/// and AQUA through their parser and the Translator.
+StatusOr<TermPtr> ParseQueryText(QueryLanguage language,
+                                 std::string_view text);
 
 }  // namespace kola
 

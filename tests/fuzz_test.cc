@@ -399,9 +399,10 @@ TEST(DeepTermTest, ModeratelyDeepTermsStillParse) {
 }
 
 // ---------------------------------------------------------------------------
-// Adversarially deep front-end input. The OQL and AQUA recursive-descent
-// parsers carry the same nesting guard as the KOLA term parser, and the
-// AQUA->KOLA translator guards its own recursion: a 100k-deep spine off
+// Adversarially deep front-end input. The OQL and AQUA front ends share
+// one recursive-descent core and its nesting guard, the KOLA term parser
+// has its own, and the AQUA->KOLA translator guards its own recursion.
+// Each deep shape is fed through both entry points: a 100k-deep spine off
 // the wire must come back as RESOURCE_EXHAUSTED, never as a native stack
 // overflow. These parsers feed kolad's `Q` line, so this is the daemon's
 // crash path.
@@ -477,6 +478,23 @@ TEST(DeepFrontEndTest, OqlParserRejectsDeepNotChain) {
   std::string text = "select x from x in C where ";
   for (int i = 0; i < 100'000; ++i) text += "not ";
   text += "true";
+  auto parsed = oql::ParseOql(text);
+  ASSERT_FALSE(parsed.ok());
+  ExpectFrontEndExhausted(parsed.status());
+}
+
+TEST(DeepFrontEndTest, OqlParserRejectsDeepDotPath) {
+  std::string text = "select x";
+  for (int i = 0; i < 100'000; ++i) text += ".a";
+  text += " from x in C";
+  auto parsed = oql::ParseOql(text);
+  ASSERT_FALSE(parsed.ok());
+  ExpectFrontEndExhausted(parsed.status());
+}
+
+TEST(DeepFrontEndTest, OqlParserRejectsDeepAndChain) {
+  std::string text = "select x from x in C where true";
+  for (int i = 0; i < 100'000; ++i) text += " and true";
   auto parsed = oql::ParseOql(text);
   ASSERT_FALSE(parsed.ok());
   ExpectFrontEndExhausted(parsed.status());
