@@ -4,6 +4,7 @@
 
 #include "common/macros.h"
 #include "common/parse_number.h"
+#include "common/string_util.h"
 
 namespace kola {
 namespace aqua {
@@ -251,7 +252,8 @@ StatusOr<ExprPtr> ExprParser::ParseCommon() {
                            ? Expr::Var(tok.text)
                            : Expr::Collection(tok.text));
     default:
-      return InvalidArgumentError("unexpected token '" + tok.text + "' at " +
+      return InvalidArgumentError("unexpected token " +
+                                  QuoteForError(tok.text) + " at " +
                                   std::to_string(tok.position));
   }
 }

@@ -2,6 +2,7 @@
 
 #include "aqua/expr_parser.h"
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace kola {
 namespace aqua {
@@ -102,8 +103,8 @@ StatusOr<ExprPtr> ParseAqua(std::string_view text) {
   AquaParser parser(std::move(tokens));
   auto expr = parser.ParseAll();
   if (!expr.ok()) {
-    return expr.status().WithContext("while parsing AQUA '" +
-                                     std::string(text) + "'");
+    return expr.status().WithContext("while parsing AQUA " +
+                                     QuoteForError(text));
   }
   return expr;
 }

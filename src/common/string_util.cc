@@ -44,4 +44,14 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+std::string QuoteForError(std::string_view text) {
+  if (text.size() <= kMaxQuotedBytes) return "'" + std::string(text) + "'";
+  size_t cut = kMaxQuotedBytes;
+  while (cut > 0 && (static_cast<unsigned char>(text[cut]) & 0xC0) == 0x80) {
+    --cut;
+  }
+  return "'" + std::string(text.substr(0, cut)) + "...' (" +
+         std::to_string(text.size()) + " bytes)";
+}
+
 }  // namespace kola

@@ -25,14 +25,6 @@ StatusOr<int> OrderedCompare(const Value& a, const Value& b) {
                    a.ToString() + " and " + b.ToString());
 }
 
-StatusOr<std::pair<Value, Value>> AsPair(const Value& v, const char* who) {
-  if (!v.is_pair()) {
-    return TypeError(std::string(who) + " expects a pair, got " +
-                     v.ToString());
-  }
-  return std::make_pair(v.first(), v.second());
-}
-
 Status NotASet(const char* who, const Value& v) {
   return TypeError(std::string(who) + " expects a set or bag, got " +
                    v.ToString());
@@ -42,6 +34,55 @@ Status NotASet(const char* who, const Value& v) {
 Value MakeLike(const Value& like, std::vector<Value> elements) {
   return like.is_bag() ? Value::MakeBag(std::move(elements))
                        : Value::MakeSet(std::move(elements));
+}
+
+}  // namespace
+
+/// Either a built Value or the unbuilt pair [first, second]. Both forms
+/// only refer to values the caller keeps alive for the call. Pair halves
+/// are read in place; Whole() builds an unbuilt pair where the pair itself
+/// is needed (`id`, a schema function, a stored result, an error message).
+class EvalArg {
+ public:
+  EvalArg(const Value& value) : value_(&value) {}  // implicit by design
+  EvalArg(const Value& first, const Value& second)
+      : first_(&first), second_(&second) {}
+
+  bool is_pair() const { return value_ == nullptr || value_->is_pair(); }
+  bool is_collection() const {
+    return value_ != nullptr && value_->is_collection();
+  }
+  /// The collection argument; requires is_collection().
+  const Value& collection() const { return *value_; }
+  /// The halves of a pair argument; require is_pair().
+  const Value& first() const {
+    return value_ != nullptr ? value_->first() : *first_;
+  }
+  const Value& second() const {
+    return value_ != nullptr ? value_->second() : *second_;
+  }
+  /// The whole argument; an unbuilt pair is built into `storage`.
+  const Value& Whole(Value* storage) const {
+    if (value_ != nullptr) return *value_;
+    *storage = Value::MakePair(*first_, *second_);
+    return *storage;
+  }
+  Value Whole() const {
+    Value storage;
+    return Whole(&storage);
+  }
+
+ private:
+  const Value* value_ = nullptr;
+  const Value* first_ = nullptr;
+  const Value* second_ = nullptr;
+};
+
+namespace {
+
+Status NotAPair(const char* who, const EvalArg& argument) {
+  return TypeError(std::string(who) + " expects a pair, got " +
+                   argument.Whole().ToString());
 }
 
 }  // namespace
@@ -83,11 +124,11 @@ StatusOr<Value> Evaluator::EvalObject(const TermPtr& term) {
     }
     case TermKind::kApplyFn: {
       KOLA_ASSIGN_OR_RETURN(Value arg, EvalObject(term->child(1)));
-      return Apply(term->child(0), arg);
+      return ApplyArg(term->child(0), arg);
     }
     case TermKind::kApplyPred: {
       KOLA_ASSIGN_OR_RETURN(Value arg, EvalObject(term->child(1)));
-      KOLA_ASSIGN_OR_RETURN(bool holds, Holds(term->child(0), arg));
+      KOLA_ASSIGN_OR_RETURN(bool holds, HoldsArg(term->child(0), arg));
       return Value::Bool(holds);
     }
     case TermKind::kMetaVar:
@@ -101,246 +142,285 @@ StatusOr<Value> Evaluator::EvalObject(const TermPtr& term) {
   }
 }
 
-StatusOr<Value> Evaluator::ApplyPrimitive(const std::string& name,
-                                          const Value& argument) {
-  if (name == "id") return argument;
-  if (name == "pi1") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "pi1"));
-    return pair.first;
-  }
-  if (name == "pi2") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "pi2"));
-    return pair.second;
-  }
-  if (name == "flat") {
-    if (!argument.is_collection()) return NotASet("flat", argument);
-    std::vector<Value> out;
-    for (const Value& inner : argument.elements()) {
-      if (!inner.is_collection()) return NotASet("flat (element)", inner);
-      for (const Value& x : inner.elements()) out.push_back(x);
+StatusOr<Value> Evaluator::ApplyPrimitive(const Term& fn,
+                                          const EvalArg& argument) {
+  const PrimOp op = fn.prim_op();
+  switch (op) {
+    case PrimOp::kId:
+      return argument.Whole();
+    case PrimOp::kPi1:
+      if (!argument.is_pair()) return NotAPair("pi1", argument);
+      return argument.first();
+    case PrimOp::kPi2:
+      if (!argument.is_pair()) return NotAPair("pi2", argument);
+      return argument.second();
+    case PrimOp::kFlat: {
+      if (!argument.is_collection()) {
+        return NotASet("flat", argument.Whole());
+      }
+      std::vector<Value> out;
+      for (const Value& inner : argument.collection().elements()) {
+        if (!inner.is_collection()) return NotASet("flat (element)", inner);
+        for (const Value& x : inner.elements()) out.push_back(x);
+      }
+      return MakeLike(argument.collection(), std::move(out));
     }
-    return MakeLike(argument, std::move(out));
-  }
-  if (name == "distinct") {
-    if (!argument.is_collection()) return NotASet("distinct", argument);
-    return Value::MakeSet(argument.elements());
-  }
-  if (name == "tobag") {
-    if (!argument.is_collection()) return NotASet("tobag", argument);
-    return Value::MakeBag(argument.elements());
-  }
-  if (name == "card") {
-    if (!argument.is_collection()) return NotASet("card", argument);
-    return Value::Int(static_cast<int64_t>(argument.SetSize()));
-  }
-  if (name == "union" || name == "intersect" || name == "diff") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, name.c_str()));
-    if (!pair.first.is_collection()) return NotASet(name.c_str(), pair.first);
-    if (!pair.second.is_collection()) {
-      return NotASet(name.c_str(), pair.second);
-    }
-    bool bag = pair.first.is_bag() || pair.second.is_bag();
-    std::vector<Value> out;
-    if (name == "union") {
-      // Additive for bags, deduplicating for sets.
-      out = pair.first.elements();
-      for (const Value& x : pair.second.elements()) out.push_back(x);
-    } else if (name == "intersect") {
-      // Multiset semantics: min of multiplicities (equal to the set
-      // semantics when both sides are sets).
-      std::map<Value, int64_t> counts;
-      for (const Value& x : pair.second.elements()) ++counts[x];
-      for (const Value& x : pair.first.elements()) {
-        auto it = counts.find(x);
-        if (it != counts.end() && it->second > 0) {
-          --it->second;
+    case PrimOp::kDistinct:
+      if (!argument.is_collection()) {
+        return NotASet("distinct", argument.Whole());
+      }
+      return Value::MakeSet(argument.collection().elements());
+    case PrimOp::kToBag:
+      if (!argument.is_collection()) {
+        return NotASet("tobag", argument.Whole());
+      }
+      return Value::MakeBag(argument.collection().elements());
+    case PrimOp::kCard:
+      if (!argument.is_collection()) {
+        return NotASet("card", argument.Whole());
+      }
+      return Value::Int(
+          static_cast<int64_t>(argument.collection().SetSize()));
+    case PrimOp::kUnion:
+    case PrimOp::kIntersect:
+    case PrimOp::kDiff: {
+      const char* who = fn.name().c_str();
+      if (!argument.is_pair()) return NotAPair(who, argument);
+      const Value& lhs = argument.first();
+      const Value& rhs = argument.second();
+      if (!lhs.is_collection()) return NotASet(who, lhs);
+      if (!rhs.is_collection()) return NotASet(who, rhs);
+      bool bag = lhs.is_bag() || rhs.is_bag();
+      std::vector<Value> out;
+      if (op == PrimOp::kUnion) {
+        // Additive for bags, deduplicating for sets.
+        out = lhs.elements();
+        for (const Value& x : rhs.elements()) out.push_back(x);
+      } else if (op == PrimOp::kIntersect) {
+        // Multiset semantics: min of multiplicities (equal to the set
+        // semantics when both sides are sets).
+        std::map<Value, int64_t> counts;
+        for (const Value& x : rhs.elements()) ++counts[x];
+        for (const Value& x : lhs.elements()) {
+          auto it = counts.find(x);
+          if (it != counts.end() && it->second > 0) {
+            --it->second;
+            out.push_back(x);
+          }
+        }
+      } else {
+        // Multiset difference: subtract multiplicities.
+        std::map<Value, int64_t> counts;
+        for (const Value& x : rhs.elements()) ++counts[x];
+        for (const Value& x : lhs.elements()) {
+          auto it = counts.find(x);
+          if (it != counts.end() && it->second > 0) {
+            --it->second;
+            continue;
+          }
           out.push_back(x);
         }
       }
-    } else {
-      // Multiset difference: subtract multiplicities.
-      std::map<Value, int64_t> counts;
-      for (const Value& x : pair.second.elements()) ++counts[x];
-      for (const Value& x : pair.first.elements()) {
-        auto it = counts.find(x);
-        if (it != counts.end() && it->second > 0) {
-          --it->second;
-          continue;
-        }
-        out.push_back(x);
-      }
+      return bag ? Value::MakeBag(std::move(out))
+                 : Value::MakeSet(std::move(out));
     }
-    return bag ? Value::MakeBag(std::move(out))
-               : Value::MakeSet(std::move(out));
+    default: {
+      // A schema name: an attribute or a registered function.
+      Value storage;
+      return db_->CallFunction(fn.name(), argument.Whole(&storage));
+    }
   }
-  return db_->CallFunction(name, argument);
 }
 
-StatusOr<bool> Evaluator::HoldsPrimitive(const std::string& name,
-                                         const Value& argument) {
-  if (name == "eq") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "eq"));
-    return Value::Compare(pair.first, pair.second) == 0;
+StatusOr<bool> Evaluator::HoldsPrimitive(const Term& pred,
+                                         const EvalArg& argument) {
+  const PrimOp op = pred.prim_op();
+  switch (op) {
+    case PrimOp::kEq:
+    case PrimOp::kNeq:
+    case PrimOp::kLt:
+    case PrimOp::kLeq:
+    case PrimOp::kGt:
+    case PrimOp::kGeq:
+    case PrimOp::kIn: {
+      if (!argument.is_pair()) {
+        return NotAPair(pred.name().c_str(), argument);
+      }
+      const Value& lhs = argument.first();
+      const Value& rhs = argument.second();
+      if (op == PrimOp::kEq) return Value::Compare(lhs, rhs) == 0;
+      if (op == PrimOp::kNeq) return Value::Compare(lhs, rhs) != 0;
+      if (op == PrimOp::kIn) {
+        if (!rhs.is_collection()) return NotASet("in", rhs);
+        return rhs.SetContains(lhs);
+      }
+      KOLA_ASSIGN_OR_RETURN(int c, OrderedCompare(lhs, rhs));
+      if (op == PrimOp::kLt) return c < 0;
+      if (op == PrimOp::kLeq) return c <= 0;
+      if (op == PrimOp::kGt) return c > 0;
+      return c >= 0;
+    }
+    default: {
+      // Schema predicates resolve through the database and must yield a
+      // bool.
+      Value storage;
+      KOLA_ASSIGN_OR_RETURN(
+          Value result,
+          db_->CallFunction(pred.name(), argument.Whole(&storage)));
+      KOLA_ASSIGN_OR_RETURN(bool b, result.AsBool());
+      return b;
+    }
   }
-  if (name == "neq") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "neq"));
-    return Value::Compare(pair.first, pair.second) != 0;
-  }
-  if (name == "lt" || name == "leq" || name == "gt" || name == "geq") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, name.c_str()));
-    KOLA_ASSIGN_OR_RETURN(int c, OrderedCompare(pair.first, pair.second));
-    if (name == "lt") return c < 0;
-    if (name == "leq") return c <= 0;
-    if (name == "gt") return c > 0;
-    return c >= 0;
-  }
-  if (name == "in") {
-    KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "in"));
-    if (!pair.second.is_collection()) return NotASet("in", pair.second);
-    return pair.second.SetContains(pair.first);
-  }
-  // Schema predicates resolve through the database and must yield a bool.
-  KOLA_ASSIGN_OR_RETURN(Value result, db_->CallFunction(name, argument));
-  KOLA_ASSIGN_OR_RETURN(bool b, result.AsBool());
-  return b;
 }
 
 StatusOr<Value> Evaluator::Apply(const TermPtr& fn, const Value& argument) {
+  return ApplyArg(fn, argument);
+}
+
+StatusOr<bool> Evaluator::Holds(const TermPtr& pred, const Value& argument) {
+  return HoldsArg(pred, argument);
+}
+
+StatusOr<Value> Evaluator::ApplyArg(const TermPtr& fn,
+                                    const EvalArg& argument) {
   KOLA_CHECK(fn != nullptr);
   KOLA_RETURN_IF_ERROR(Tick());
   switch (fn->kind()) {
     case TermKind::kPrimFn:
-      return ApplyPrimitive(fn->name(), argument);
+      return ApplyPrimitive(*fn, argument);
     case TermKind::kCompose: {
-      KOLA_ASSIGN_OR_RETURN(Value inner, Apply(fn->child(1), argument));
-      return Apply(fn->child(0), inner);
+      KOLA_ASSIGN_OR_RETURN(Value inner, ApplyArg(fn->child(1), argument));
+      return ApplyArg(fn->child(0), inner);
     }
     case TermKind::kPairFn: {
-      KOLA_ASSIGN_OR_RETURN(Value a, Apply(fn->child(0), argument));
-      KOLA_ASSIGN_OR_RETURN(Value b, Apply(fn->child(1), argument));
+      KOLA_ASSIGN_OR_RETURN(Value a, ApplyArg(fn->child(0), argument));
+      KOLA_ASSIGN_OR_RETURN(Value b, ApplyArg(fn->child(1), argument));
       return Value::MakePair(std::move(a), std::move(b));
     }
     case TermKind::kProduct: {
-      KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "product"));
-      KOLA_ASSIGN_OR_RETURN(Value a, Apply(fn->child(0), pair.first));
-      KOLA_ASSIGN_OR_RETURN(Value b, Apply(fn->child(1), pair.second));
+      if (!argument.is_pair()) return NotAPair("product", argument);
+      KOLA_ASSIGN_OR_RETURN(Value a, ApplyArg(fn->child(0), argument.first()));
+      KOLA_ASSIGN_OR_RETURN(Value b,
+                            ApplyArg(fn->child(1), argument.second()));
       return Value::MakePair(std::move(a), std::move(b));
     }
     case TermKind::kConstFn:
       return EvalObject(fn->child(0));
     case TermKind::kCurryFn: {
+      // Cf(f, v) ! y = f ! [v, y]: y is the pair's second half.
       KOLA_ASSIGN_OR_RETURN(Value v, EvalObject(fn->child(1)));
-      return Apply(fn->child(0), Value::MakePair(std::move(v), argument));
+      Value storage;
+      return ApplyArg(fn->child(0), EvalArg(v, argument.Whole(&storage)));
     }
     case TermKind::kCond: {
-      KOLA_ASSIGN_OR_RETURN(bool c, Holds(fn->child(0), argument));
-      return Apply(c ? fn->child(1) : fn->child(2), argument);
+      KOLA_ASSIGN_OR_RETURN(bool c, HoldsArg(fn->child(0), argument));
+      return ApplyArg(c ? fn->child(1) : fn->child(2), argument);
     }
     case TermKind::kIterate: {
       // Polymorphic over the collection kind: iterating a bag yields a bag
       // (duplicates preserved), the Section 6 deferred-duplicate-
       // elimination extension.
-      if (!argument.is_collection()) return NotASet("iterate", argument);
+      if (!argument.is_collection()) {
+        return NotASet("iterate", argument.Whole());
+      }
+      const Value& collection = argument.collection();
       std::vector<Value> out;
-      for (const Value& x : argument.elements()) {
-        KOLA_ASSIGN_OR_RETURN(bool keep, Holds(fn->child(0), x));
+      for (const Value& x : collection.elements()) {
+        KOLA_ASSIGN_OR_RETURN(bool keep, HoldsArg(fn->child(0), x));
         if (!keep) continue;
-        KOLA_ASSIGN_OR_RETURN(Value y, Apply(fn->child(1), x));
+        KOLA_ASSIGN_OR_RETURN(Value y, ApplyArg(fn->child(1), x));
         KOLA_RETURN_IF_ERROR(ChargeScratch(1));
         out.push_back(std::move(y));
       }
-      return MakeLike(argument, std::move(out));
+      return MakeLike(collection, std::move(out));
     }
     case TermKind::kIter: {
-      KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "iter"));
-      if (!pair.second.is_collection()) return NotASet("iter", pair.second);
+      if (!argument.is_pair()) return NotAPair("iter", argument);
+      const Value& e = argument.first();
+      const Value& collection = argument.second();
+      if (!collection.is_collection()) return NotASet("iter", collection);
       std::vector<Value> out;
-      for (const Value& y : pair.second.elements()) {
-        Value env = Value::MakePair(pair.first, y);
-        KOLA_ASSIGN_OR_RETURN(bool keep, Holds(fn->child(0), env));
+      for (const Value& y : collection.elements()) {
+        const EvalArg env(e, y);
+        KOLA_ASSIGN_OR_RETURN(bool keep, HoldsArg(fn->child(0), env));
         if (!keep) continue;
-        KOLA_ASSIGN_OR_RETURN(Value v, Apply(fn->child(1), env));
+        KOLA_ASSIGN_OR_RETURN(Value v, ApplyArg(fn->child(1), env));
         KOLA_RETURN_IF_ERROR(ChargeScratch(1));
         out.push_back(std::move(v));
       }
-      return MakeLike(pair.second, std::move(out));
+      return MakeLike(collection, std::move(out));
     }
     case TermKind::kJoin: {
-      KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "join"));
-      if (!pair.first.is_collection()) {
-        return NotASet("join (first)", pair.first);
-      }
-      if (!pair.second.is_collection()) {
-        return NotASet("join (second)", pair.second);
-      }
-      if (options_.physical_fastpaths && pair.first.is_set() &&
-          pair.second.is_set()) {
-        if (auto fast = TryFastJoin(fn, pair.first, pair.second)) {
+      if (!argument.is_pair()) return NotAPair("join", argument);
+      const Value& lhs = argument.first();
+      const Value& rhs = argument.second();
+      if (!lhs.is_collection()) return NotASet("join (first)", lhs);
+      if (!rhs.is_collection()) return NotASet("join (second)", rhs);
+      if (options_.physical_fastpaths && lhs.is_set() && rhs.is_set()) {
+        if (auto fast = TryFastJoin(fn, lhs, rhs)) {
           return *std::move(fast);
         }
       }
       std::vector<Value> out;
-      for (const Value& x : pair.first.elements()) {
-        for (const Value& y : pair.second.elements()) {
-          Value xy = Value::MakePair(x, y);
-          KOLA_ASSIGN_OR_RETURN(bool keep, Holds(fn->child(0), xy));
+      for (const Value& x : lhs.elements()) {
+        for (const Value& y : rhs.elements()) {
+          const EvalArg xy(x, y);
+          KOLA_ASSIGN_OR_RETURN(bool keep, HoldsArg(fn->child(0), xy));
           if (!keep) continue;
-          KOLA_ASSIGN_OR_RETURN(Value v, Apply(fn->child(1), xy));
+          KOLA_ASSIGN_OR_RETURN(Value v, ApplyArg(fn->child(1), xy));
           KOLA_RETURN_IF_ERROR(ChargeScratch(1));
           out.push_back(std::move(v));
         }
       }
-      return (pair.first.is_bag() || pair.second.is_bag())
-                 ? Value::MakeBag(std::move(out))
-                 : Value::MakeSet(std::move(out));
+      return (lhs.is_bag() || rhs.is_bag()) ? Value::MakeBag(std::move(out))
+                                            : Value::MakeSet(std::move(out));
     }
     case TermKind::kNest: {
       // nest(f, g) ! [A, B] = { [y, {g!x | x in A, f!x = y}] | y in B }.
       // The paper's NULL-avoiding nest: grouping is relative to B, so
       // elements of B with no matches map to the empty set.
-      KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "nest"));
-      if (!pair.first.is_collection()) {
-        return NotASet("nest (first)", pair.first);
-      }
-      if (!pair.second.is_collection()) {
-        return NotASet("nest (second)", pair.second);
-      }
-      if (options_.physical_fastpaths && pair.first.is_set() &&
-          pair.second.is_set()) {
-        if (auto fast = TryFastNest(fn, pair.first, pair.second)) {
+      if (!argument.is_pair()) return NotAPair("nest", argument);
+      const Value& lhs = argument.first();
+      const Value& rhs = argument.second();
+      if (!lhs.is_collection()) return NotASet("nest (first)", lhs);
+      if (!rhs.is_collection()) return NotASet("nest (second)", rhs);
+      if (options_.physical_fastpaths && lhs.is_set() && rhs.is_set()) {
+        if (auto fast = TryFastNest(fn, lhs, rhs)) {
           return *std::move(fast);
         }
       }
       std::vector<Value> out;
-      for (const Value& y : pair.second.elements()) {
+      for (const Value& y : rhs.elements()) {
         std::vector<Value> group;
-        for (const Value& x : pair.first.elements()) {
-          KOLA_ASSIGN_OR_RETURN(Value key, Apply(fn->child(0), x));
+        for (const Value& x : lhs.elements()) {
+          KOLA_ASSIGN_OR_RETURN(Value key, ApplyArg(fn->child(0), x));
           if (Value::Compare(key, y) != 0) continue;
-          KOLA_ASSIGN_OR_RETURN(Value v, Apply(fn->child(1), x));
+          KOLA_ASSIGN_OR_RETURN(Value v, ApplyArg(fn->child(1), x));
           KOLA_RETURN_IF_ERROR(ChargeScratch(1));
           group.push_back(std::move(v));
         }
         KOLA_RETURN_IF_ERROR(ChargeScratch(1));
-        out.push_back(
-            Value::MakePair(y, MakeLike(pair.first, std::move(group))));
+        out.push_back(Value::MakePair(y, MakeLike(lhs, std::move(group))));
       }
-      return MakeLike(pair.second, std::move(out));
+      return MakeLike(rhs, std::move(out));
     }
     case TermKind::kUnnest: {
       // unnest(f, g) ! A = { [f!x, y] | x in A, y in g!x }.
-      if (!argument.is_collection()) return NotASet("unnest", argument);
+      if (!argument.is_collection()) {
+        return NotASet("unnest", argument.Whole());
+      }
+      const Value& collection = argument.collection();
       std::vector<Value> out;
-      for (const Value& x : argument.elements()) {
-        KOLA_ASSIGN_OR_RETURN(Value key, Apply(fn->child(0), x));
-        KOLA_ASSIGN_OR_RETURN(Value inner, Apply(fn->child(1), x));
+      for (const Value& x : collection.elements()) {
+        KOLA_ASSIGN_OR_RETURN(Value key, ApplyArg(fn->child(0), x));
+        KOLA_ASSIGN_OR_RETURN(Value inner, ApplyArg(fn->child(1), x));
         if (!inner.is_collection()) return NotASet("unnest (inner)", inner);
         for (const Value& y : inner.elements()) {
           KOLA_RETURN_IF_ERROR(ChargeScratch(1));
           out.push_back(Value::MakePair(key, y));
         }
       }
-      return MakeLike(argument, std::move(out));
+      return MakeLike(collection, std::move(out));
     }
     case TermKind::kMetaVar:
       return FailedPreconditionError(
@@ -352,33 +432,46 @@ StatusOr<Value> Evaluator::Apply(const TermPtr& fn, const Value& argument) {
   }
 }
 
-StatusOr<bool> Evaluator::Holds(const TermPtr& pred, const Value& argument) {
+StatusOr<bool> Evaluator::HoldsArg(const TermPtr& pred,
+                                   const EvalArg& argument) {
   KOLA_CHECK(pred != nullptr);
   KOLA_RETURN_IF_ERROR(Tick());
   switch (pred->kind()) {
     case TermKind::kPrimPred:
-      return HoldsPrimitive(pred->name(), argument);
+      return HoldsPrimitive(*pred, argument);
     case TermKind::kOplus: {
-      KOLA_ASSIGN_OR_RETURN(Value inner, Apply(pred->child(1), argument));
-      return Holds(pred->child(0), inner);
+      const TermPtr& f = pred->child(1);
+      if (f->kind() == TermKind::kProduct) {
+        // p @ (f x g): p reads the product's pair in place. The product's
+        // own invocation still takes its step, in the same order.
+        KOLA_RETURN_IF_ERROR(Tick());
+        if (!argument.is_pair()) return NotAPair("product", argument);
+        KOLA_ASSIGN_OR_RETURN(Value a,
+                              ApplyArg(f->child(0), argument.first()));
+        KOLA_ASSIGN_OR_RETURN(Value b,
+                              ApplyArg(f->child(1), argument.second()));
+        return HoldsArg(pred->child(0), EvalArg(a, b));
+      }
+      KOLA_ASSIGN_OR_RETURN(Value inner, ApplyArg(f, argument));
+      return HoldsArg(pred->child(0), inner);
     }
     case TermKind::kAndP: {
-      KOLA_ASSIGN_OR_RETURN(bool a, Holds(pred->child(0), argument));
+      KOLA_ASSIGN_OR_RETURN(bool a, HoldsArg(pred->child(0), argument));
       if (!a) return false;
-      return Holds(pred->child(1), argument);
+      return HoldsArg(pred->child(1), argument);
     }
     case TermKind::kOrP: {
-      KOLA_ASSIGN_OR_RETURN(bool a, Holds(pred->child(0), argument));
+      KOLA_ASSIGN_OR_RETURN(bool a, HoldsArg(pred->child(0), argument));
       if (a) return true;
-      return Holds(pred->child(1), argument);
+      return HoldsArg(pred->child(1), argument);
     }
     case TermKind::kInvP: {
-      KOLA_ASSIGN_OR_RETURN(auto pair, AsPair(argument, "inv"));
-      return Holds(pred->child(0),
-                   Value::MakePair(pair.second, pair.first));
+      if (!argument.is_pair()) return NotAPair("inv", argument);
+      return HoldsArg(pred->child(0),
+                      EvalArg(argument.second(), argument.first()));
     }
     case TermKind::kNotP: {
-      KOLA_ASSIGN_OR_RETURN(bool a, Holds(pred->child(0), argument));
+      KOLA_ASSIGN_OR_RETURN(bool a, HoldsArg(pred->child(0), argument));
       return !a;
     }
     case TermKind::kConstPred: {
@@ -389,8 +482,10 @@ StatusOr<bool> Evaluator::Holds(const TermPtr& pred, const Value& argument) {
       return result;
     }
     case TermKind::kCurryPred: {
+      // Cp(p, v) ? y = p ? [v, y]: y is the pair's second half.
       KOLA_ASSIGN_OR_RETURN(Value v, EvalObject(pred->child(1)));
-      return Holds(pred->child(0), Value::MakePair(std::move(v), argument));
+      Value storage;
+      return HoldsArg(pred->child(0), EvalArg(v, argument.Whole(&storage)));
     }
     case TermKind::kMetaVar:
       return FailedPreconditionError(
@@ -410,9 +505,8 @@ std::optional<StatusOr<Value>> Evaluator::TryFastJoin(const TermPtr& join,
   const TermPtr& pred = join->child(0);
   const TermPtr& h = join->child(1);
   if (pred->kind() != TermKind::kOplus) return std::nullopt;
-  if (pred->child(0)->kind() != TermKind::kPrimPred) return std::nullopt;
-  const std::string& op = pred->child(0)->name();
-  if (op != "eq" && op != "in") return std::nullopt;
+  const PrimOp op = pred->child(0)->prim_op();
+  if (op != PrimOp::kEq && op != PrimOp::kIn) return std::nullopt;
   if (pred->child(1)->kind() != TermKind::kProduct) return std::nullopt;
   const TermPtr& f = pred->child(1)->child(0);
   const TermPtr& g = pred->child(1)->child(1);
@@ -423,8 +517,8 @@ std::optional<StatusOr<Value>> Evaluator::TryFastJoin(const TermPtr& join,
     std::map<Value, std::vector<Value>> index;
     for (const Value& b : rhs.elements()) {
       KOLA_RETURN_IF_ERROR(Tick());
-      KOLA_ASSIGN_OR_RETURN(Value key, Apply(g, b));
-      if (op == "eq") {
+      KOLA_ASSIGN_OR_RETURN(Value key, ApplyArg(g, b));
+      if (op == PrimOp::kEq) {
         KOLA_RETURN_IF_ERROR(ChargeScratch(1));
         index[std::move(key)].push_back(b);
       } else {
@@ -441,11 +535,11 @@ std::optional<StatusOr<Value>> Evaluator::TryFastJoin(const TermPtr& join,
     std::vector<Value> out;
     for (const Value& a : lhs.elements()) {
       KOLA_RETURN_IF_ERROR(Tick());
-      KOLA_ASSIGN_OR_RETURN(Value key, Apply(f, a));
+      KOLA_ASSIGN_OR_RETURN(Value key, ApplyArg(f, a));
       auto it = index.find(key);
       if (it == index.end()) continue;
       for (const Value& b : it->second) {
-        KOLA_ASSIGN_OR_RETURN(Value v, Apply(h, Value::MakePair(a, b)));
+        KOLA_ASSIGN_OR_RETURN(Value v, ApplyArg(h, EvalArg(a, b)));
         KOLA_RETURN_IF_ERROR(ChargeScratch(1));
         out.push_back(std::move(v));
       }
@@ -459,7 +553,8 @@ std::optional<StatusOr<Value>> Evaluator::TryFastJoin(const TermPtr& join,
 std::optional<StatusOr<Value>> Evaluator::TryFastNest(const TermPtr& nest,
                                                       const Value& lhs,
                                                       const Value& rhs) {
-  if (!nest->child(0)->IsPrimFn("pi1") || !nest->child(1)->IsPrimFn("pi2")) {
+  if (nest->child(0)->prim_op() != PrimOp::kPi1 ||
+      nest->child(1)->prim_op() != PrimOp::kPi2) {
     return std::nullopt;
   }
   auto run = [&]() -> StatusOr<Value> {

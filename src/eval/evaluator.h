@@ -34,6 +34,10 @@ struct EvalOptions {
   const Governor* governor = nullptr;
 };
 
+/// An argument of the evaluator's internal Apply/Holds: a built Value or an
+/// unbuilt pair of two values. Defined in evaluator.cc.
+class EvalArg;
+
 /// Operational-semantics interpreter for KOLA terms (Tables 1 and 2 of the
 /// paper). All evaluation is against a Database supplying extents and schema
 /// primitives. The evaluator is the semantic ground truth the rewrite rules
@@ -77,10 +81,17 @@ class Evaluator {
   /// held for the evaluator's lifetime -- results built by inner formers
   /// feed outer ones, so "still charged" approximates "still live".
   Status ChargeScratch(int64_t values);
-  StatusOr<Value> ApplyPrimitive(const std::string& name,
-                                 const Value& argument);
-  StatusOr<bool> HoldsPrimitive(const std::string& name,
-                                const Value& argument);
+  /// Apply and Holds over an argument whose pair halves may be unbuilt:
+  /// iter and nested-loop join environments, `p @ (f x g)`, Cp, Cf and inv
+  /// pass the halves they already hold, and a pair is built only where a
+  /// whole value is needed. Steps, fast-path hits, errors and scratch
+  /// charges are those of building every pair.
+  StatusOr<Value> ApplyArg(const TermPtr& fn, const EvalArg& argument);
+  StatusOr<bool> HoldsArg(const TermPtr& pred, const EvalArg& argument);
+  /// Built-in primitives dispatch on the leaf's cached PrimOp; schema
+  /// names go to the Database.
+  StatusOr<Value> ApplyPrimitive(const Term& fn, const EvalArg& argument);
+  StatusOr<bool> HoldsPrimitive(const Term& pred, const EvalArg& argument);
   /// Hash-based join for eq/in-keyed predicates; nullopt when the shape is
   /// not recognized (caller falls back to nested loops).
   std::optional<StatusOr<Value>> TryFastJoin(const TermPtr& join,

@@ -4,6 +4,7 @@
 
 #include "aqua/expr_parser.h"
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace kola {
 namespace oql {
@@ -174,8 +175,8 @@ StatusOr<aqua::ExprPtr> ParseOql(std::string_view text) {
   OqlParser parser(std::move(tokens));
   auto expr = parser.ParseAll();
   if (!expr.ok()) {
-    return expr.status().WithContext("while parsing OQL '" +
-                                     std::string(text) + "'");
+    return expr.status().WithContext("while parsing OQL " +
+                                     QuoteForError(text));
   }
   return expr;
 }

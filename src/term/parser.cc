@@ -7,6 +7,7 @@
 
 #include "common/macros.h"
 #include "common/parse_number.h"
+#include "common/string_util.h"
 
 namespace kola {
 
@@ -474,8 +475,9 @@ class Parser {
         return node;
       }
       default:
-        return InvalidArgumentError("unexpected token '" + tok.text +
-                                    "' at position " +
+        return InvalidArgumentError("unexpected token " +
+                                    QuoteForError(tok.text) +
+                                    " at position " +
                                     std::to_string(tok.position));
     }
   }
@@ -820,8 +822,8 @@ StatusOr<TermPtr> ParseTerm(std::string_view text, Sort expected) {
   KOLA_ASSIGN_OR_RETURN(CstPtr cst, parser.ParseAll());
   auto term = Elaborate(*cst, expected);
   if (!term.ok()) {
-    return term.status().WithContext("while parsing '" + std::string(text) +
-                                     "'");
+    return term.status().WithContext("while parsing " +
+                                     QuoteForError(text));
   }
   return term;
 }

@@ -1,6 +1,7 @@
 #include "term/term.h"
 
 #include <functional>
+#include <span>
 
 #include "common/macros.h"
 
@@ -310,6 +311,41 @@ uint64_t StableStringHash(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+PrimOp Term::ClassifyPrimOp() const {
+  struct Named {
+    const char* name;
+    PrimOp op;
+  };
+  static constexpr Named kFunctions[] = {
+      {"id", PrimOp::kId},
+      {"pi1", PrimOp::kPi1},
+      {"pi2", PrimOp::kPi2},
+      {"flat", PrimOp::kFlat},
+      {"distinct", PrimOp::kDistinct},
+      {"tobag", PrimOp::kToBag},
+      {"card", PrimOp::kCard},
+      {"union", PrimOp::kUnion},
+      {"intersect", PrimOp::kIntersect},
+      {"diff", PrimOp::kDiff},
+  };
+  static constexpr Named kPredicates[] = {
+      {"eq", PrimOp::kEq},   {"neq", PrimOp::kNeq}, {"lt", PrimOp::kLt},
+      {"leq", PrimOp::kLeq}, {"gt", PrimOp::kGt},   {"geq", PrimOp::kGeq},
+      {"in", PrimOp::kIn},
+  };
+  PrimOp op = PrimOp::kNone;
+  if (kind_ == TermKind::kPrimFn || kind_ == TermKind::kPrimPred) {
+    op = PrimOp::kSchema;
+    const bool fn = kind_ == TermKind::kPrimFn;
+    for (const Named& named : fn ? std::span<const Named>(kFunctions)
+                                 : std::span<const Named>(kPredicates)) {
+      if (name_ == named.name) op = named.op;
+    }
+  }
+  prim_op_.store(static_cast<uint8_t>(op) + 1, std::memory_order_relaxed);
+  return op;
 }
 
 uint64_t Term::stable_hash() const {

@@ -2,6 +2,7 @@
 #define KOLA_TERM_TERM_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,6 +82,35 @@ enum class TermKind {
 
 const char* TermKindToString(TermKind kind);
 
+/// Which built-in primitive a kPrimFn or kPrimPred leaf names. The
+/// evaluator dispatches on this instead of comparing names. Names the
+/// evaluator does not implement itself are kSchema: they resolve through
+/// the Database (attributes and registered functions). kNone is every
+/// other kind of term.
+enum class PrimOp : uint8_t {
+  kNone,
+  kSchema,
+  // Functions.
+  kId,
+  kPi1,
+  kPi2,
+  kFlat,
+  kDistinct,
+  kToBag,
+  kCard,
+  kUnion,
+  kIntersect,
+  kDiff,
+  // Predicates.
+  kEq,
+  kNeq,
+  kLt,
+  kLeq,
+  kGt,
+  kGeq,
+  kIn,
+};
+
 /// An immutable node of a KOLA term tree. Construct via the checked factory
 /// Term::Make (parser, generic code) or via the builder functions below
 /// (library code; they KOLA_CHECK well-sortedness).
@@ -114,6 +144,14 @@ class Term {
   }
   bool IsPrimPred(const std::string& name) const {
     return kind_ == TermKind::kPrimPred && name_ == name;
+  }
+
+  /// The built-in primitive this leaf names (see PrimOp). Classified from
+  /// the kind and name on first call and cached on the node.
+  PrimOp prim_op() const {
+    const uint8_t cached = prim_op_.load(std::memory_order_relaxed);
+    if (cached != 0) return static_cast<PrimOp>(cached - 1);
+    return ClassifyPrimOp();
   }
 
   /// Cached structural hash (consistent with Equal).
@@ -172,11 +210,21 @@ class Term {
                          Value literal, bool bool_const,
                          std::vector<TermPtr> children);
 
+  /// Slow path of prim_op(): classifies and stores the cache.
+  PrimOp ClassifyPrimOp() const;
+
   TermKind kind_ = TermKind::kLiteral;
   Sort sort_ = Sort::kObject;
   std::string name_;
   Value literal_;
   bool bool_const_ = false;
+  /// Lazily computed prim_op() cache: the PrimOp plus one, 0 meaning "not
+  /// classified yet". It sits in the padding after bool_const_, so
+  /// sizeof(Term) -- which the TermInterner charges per node -- does not
+  /// grow. Atomic for the same reason as stable_hash_: shared terms are
+  /// evaluated from concurrent workers, and every writer stores the same
+  /// content-determined value, so races are benign.
+  mutable std::atomic<uint8_t> prim_op_{0};
   std::vector<TermPtr> children_;
   size_t hash_ = 0;
   size_t node_count_ = 1;

@@ -8,7 +8,7 @@ int32_t Database::DefineClass(const std::string& name) {
   auto it = class_ids_.find(name);
   if (it != class_ids_.end()) return it->second;
   int32_t id = static_cast<int32_t>(classes_.size());
-  classes_.push_back(ClassInfo{name, {}, {}});
+  classes_.push_back(ClassInfo{name, {}, 0, {}});
   class_ids_[name] = id;
   return id;
 }
@@ -34,10 +34,14 @@ Status Database::DefineAttribute(int32_t class_id,
     return NotFoundError("bad class id");
   }
   ClassInfo& info = classes_[class_id];
-  if (info.attribute_index.count(attribute) > 0) return Status::OK();
-  int32_t index = static_cast<int32_t>(info.attribute_index.size());
-  info.attribute_index[attribute] = index;
-  for (auto& slots : info.objects) slots.resize(info.attribute_index.size());
+  SchemaName& entry = names_[attribute];
+  if (entry.attribute < 0) entry.attribute = num_attributes_++;
+  if (SlotOf(info, &entry) >= 0) return Status::OK();
+  if (info.slot_of.size() <= static_cast<size_t>(entry.attribute)) {
+    info.slot_of.resize(entry.attribute + 1, -1);
+  }
+  info.slot_of[entry.attribute] = static_cast<int32_t>(info.num_slots++);
+  for (auto& slots : info.objects) slots.resize(info.num_slots);
   return Status::OK();
 }
 
@@ -46,7 +50,7 @@ Value Database::NewObject(int32_t class_id) {
              static_cast<size_t>(class_id) < classes_.size());
   ClassInfo& info = classes_[class_id];
   int64_t id = static_cast<int64_t>(info.objects.size());
-  info.objects.emplace_back(info.attribute_index.size());
+  info.objects.emplace_back(info.num_slots);
   return Value::Object(class_id, id);
 }
 
@@ -67,11 +71,24 @@ StatusOr<const Database::ClassInfo*> Database::ClassForObject(
   return &info;
 }
 
+const Database::SchemaName* Database::Find(const std::string& name) const {
+  auto it = names_.find(name);
+  return it == names_.end() ? nullptr : &it->second;
+}
+
+int32_t Database::SlotOf(const ClassInfo& info, const SchemaName* entry) {
+  if (entry == nullptr || entry->attribute < 0 ||
+      static_cast<size_t>(entry->attribute) >= info.slot_of.size()) {
+    return -1;
+  }
+  return info.slot_of[entry->attribute];
+}
+
 Status Database::SetAttribute(const Value& object,
                               const std::string& attribute, Value value) {
   KOLA_ASSIGN_OR_RETURN(const ClassInfo* info, ClassForObject(object));
-  auto it = info->attribute_index.find(attribute);
-  if (it == info->attribute_index.end()) {
+  const int32_t slot = SlotOf(*info, Find(attribute));
+  if (slot < 0) {
     return NotFoundError("class " + info->name + " has no attribute " +
                          attribute);
   }
@@ -79,26 +96,32 @@ Status Database::SetAttribute(const Value& object,
   // the registry itself is non-const in this mutating member.
   auto& slots =
       const_cast<ClassInfo*>(info)->objects[object.object_id()];
-  slots[it->second] = std::move(value);
+  slots[slot] = std::move(value);
   return Status::OK();
+}
+
+StatusOr<Value> Database::ReadAttribute(const Value& object,
+                                        const std::string& attribute,
+                                        const SchemaName* entry) const {
+  KOLA_ASSIGN_OR_RETURN(const ClassInfo* info, ClassForObject(object));
+  const int32_t slot = SlotOf(*info, entry);
+  if (slot < 0) {
+    return NotFoundError("class " + info->name + " has no attribute " +
+                         attribute);
+  }
+  return info->objects[object.object_id()][slot];
 }
 
 StatusOr<Value> Database::GetAttribute(const Value& object,
                                        const std::string& attribute) const {
-  KOLA_ASSIGN_OR_RETURN(const ClassInfo* info, ClassForObject(object));
-  auto it = info->attribute_index.find(attribute);
-  if (it == info->attribute_index.end()) {
-    return NotFoundError("class " + info->name + " has no attribute " +
-                         attribute);
-  }
-  return info->objects[object.object_id()][it->second];
+  return ReadAttribute(object, attribute, Find(attribute));
 }
 
 bool Database::HasAttribute(const Value& object,
                             const std::string& attribute) const {
   auto info = ClassForObject(object);
   if (!info.ok()) return false;
-  return (*info)->attribute_index.count(attribute) > 0;
+  return SlotOf(**info, Find(attribute)) >= 0;
 }
 
 size_t Database::ObjectCount(int32_t class_id) const {
@@ -135,18 +158,21 @@ std::vector<std::string> Database::ExtentNames() const {
 }
 
 void Database::RegisterFunction(const std::string& name, ComputedFn fn) {
-  computed_[name] = std::move(fn);
+  names_[name].computed = std::move(fn);
 }
 
 bool Database::HasComputedFunction(const std::string& name) const {
-  return computed_.count(name) > 0;
+  const SchemaName* entry = Find(name);
+  return entry != nullptr && entry->computed != nullptr;
 }
 
 StatusOr<Value> Database::CallFunction(const std::string& name,
                                        const Value& argument) const {
-  auto it = computed_.find(name);
-  if (it != computed_.end()) return it->second(*this, argument);
-  if (argument.is_object()) return GetAttribute(argument, name);
+  const SchemaName* entry = Find(name);
+  if (entry != nullptr && entry->computed != nullptr) {
+    return entry->computed(*this, argument);
+  }
+  if (argument.is_object()) return ReadAttribute(argument, name, entry);
   return NotFoundError("no function or attribute named " + name +
                        " applicable to " + argument.ToString());
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -20,7 +21,9 @@ namespace kola {
 /// The KOLA evaluator resolves a schema primitive like `age` by asking the
 /// database: registered computed functions are consulted first, then object
 /// attributes. This realizes the paper's "functions and predicates found in
-/// ADT interfaces included in a schema".
+/// ADT interfaces included in a schema". Every schema name resolves through
+/// one hashed table: a name maps to its computed function, else to a
+/// database-wide attribute id that indexes each class's slot vector.
 class Database {
  public:
   using ComputedFn =
@@ -81,24 +84,43 @@ class Database {
   bool HasComputedFunction(const std::string& name) const;
 
   /// Resolves a schema primitive: computed function first, then attribute
-  /// access on object arguments.
+  /// access on object arguments. One lookup in the name table.
   StatusOr<Value> CallFunction(const std::string& name,
                                const Value& argument) const;
 
  private:
+  /// What a schema name resolves to.
+  struct SchemaName {
+    ComputedFn computed;     // set by RegisterFunction; wins over attributes
+    int32_t attribute = -1;  // database-wide attribute id, -1 if none
+  };
+
   struct ClassInfo {
     std::string name;
-    std::map<std::string, int32_t> attribute_index;
+    // slot_of[attribute id] is this class's slot for that attribute, -1 (or
+    // past the end) when the class does not declare it.
+    std::vector<int32_t> slot_of;
+    size_t num_slots = 0;
     // objects[i] holds the attribute slots of object id i.
     std::vector<std::vector<Value>> objects;
   };
 
   StatusOr<const ClassInfo*> ClassForObject(const Value& object) const;
+  /// The name-table entry for `name`, or nullptr.
+  const SchemaName* Find(const std::string& name) const;
+  /// `info`'s slot for the attribute `entry` names; -1 when it has none.
+  static int32_t SlotOf(const ClassInfo& info, const SchemaName* entry);
+  /// Reads `attribute` of `object`, whose name-table entry is `entry`
+  /// (nullptr when the name is unknown).
+  StatusOr<Value> ReadAttribute(const Value& object,
+                                const std::string& attribute,
+                                const SchemaName* entry) const;
 
   std::vector<ClassInfo> classes_;
   std::map<std::string, int32_t> class_ids_;
   std::map<std::string, Value> extents_;
-  std::map<std::string, ComputedFn> computed_;
+  std::unordered_map<std::string, SchemaName> names_;
+  int32_t num_attributes_ = 0;
 };
 
 }  // namespace kola

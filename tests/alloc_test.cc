@@ -1,10 +1,13 @@
-// Allocation regression guard for the optimizer's request path. This
-// binary replaces the global allocation functions with counting ones (the
-// same technique as kolabench/alloc_count.cc), warms an Optimizer up, and
-// bounds the allocations of one more Optimize call. The rule catalog and
-// every phase's rule blocks are built once per process; a phase that went
-// back to re-parsing rule texts or re-assembling its rules per call would
-// multiply these counts.
+// Allocation regression guard for the optimizer's and the evaluator's
+// request paths. This binary replaces the global allocation functions with
+// counting ones (the same technique as kolabench/alloc_count.cc), warms an
+// Optimizer up, and bounds the allocations of one more Optimize call. The
+// rule catalog and every phase's rule blocks are built once per process; a
+// phase that went back to re-parsing rule texts or re-assembling its rules
+// per call would multiply these counts. It also bounds one warm evaluation
+// of two join plans: the evaluator reads pair arguments in place, so a
+// nested-loop join that went back to building a pair per candidate (or
+// resolving names by building strings) would multiply those counts.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +16,11 @@
 #include <memory>
 #include <new>
 
+#include "eval/evaluator.h"
 #include "optimizer/code_motion.h"
 #include "optimizer/hidden_join.h"
 #include "optimizer/optimizer.h"
+#include "translate/translate.h"
 #include "values/car_world.h"
 
 namespace {
@@ -151,6 +156,61 @@ TEST(AllocationGuardTest, WarmOptimizeOfKG1) {
   RecordProperty("allocations", static_cast<int>(allocations));
   EXPECT_LE(allocations, kKG1AllocationsBefore / kReduction)
       << "a warm Optimize of KG1 made " << allocations << " allocations";
+}
+
+/// Allocations of one warm, ungoverned evaluation of the optimized plan of
+/// the OQL `query` on the kolabench `compile` world (25 persons, 15
+/// vehicles, 10 addresses, seed 404); the plan has been evaluated once
+/// already.
+uint64_t WarmEvaluationAllocations(const char* query) {
+  CarWorldOptions world;
+  world.num_persons = 25;
+  world.num_vehicles = 15;
+  world.num_addresses = 10;
+  world.seed = 404;
+  std::unique_ptr<Database> db = BuildCarWorld(world);
+  PropertyStore properties = PropertyStore::Default();
+  Optimizer optimizer(&properties, db.get());
+  auto input = ParseQueryText(QueryLanguage::kOql, query);
+  EXPECT_TRUE(input.ok()) << input.status();
+  if (!input.ok()) return 0;
+  auto plan = optimizer.Optimize(input.value());
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (!plan.ok()) return 0;
+  {
+    Evaluator warm(db.get());
+    EXPECT_TRUE(warm.EvalObject(plan->query).ok());
+  }
+  Evaluator evaluator(db.get());
+  const uint64_t before = t_allocations;
+  auto value = evaluator.EvalObject(plan->query);
+  const uint64_t allocations = t_allocations - before;
+  EXPECT_TRUE(value.ok()) << value.status();
+  return allocations;
+}
+
+// Counts at the commit before the evaluator read pair arguments in place
+// (RelWithDebInfo, GCC, libstdc++), when every nested-loop candidate and
+// every `p @ (f x g)` test built a heap-allocated pair.
+constexpr uint64_t kSelfJoinEvalAllocationsBefore = 2188;
+constexpr uint64_t kOwnershipJoinEvalAllocationsBefore = 925;
+
+TEST(AllocationGuardTest, WarmEvaluationOfSelfJoin) {
+  const uint64_t allocations = WarmEvaluationAllocations(
+      "select [a.name, b.name] from a in P, b in P where a.age > b.age");
+  RecordProperty("allocations", static_cast<int>(allocations));
+  EXPECT_LE(allocations, kSelfJoinEvalAllocationsBefore / 2)
+      << "a warm evaluation of the self-join made " << allocations
+      << " allocations";
+}
+
+TEST(AllocationGuardTest, WarmEvaluationOfOwnershipJoin) {
+  const uint64_t allocations = WarmEvaluationAllocations(
+      "select [v.make, p.name] from v in V, p in P where v in p.cars");
+  RecordProperty("allocations", static_cast<int>(allocations));
+  EXPECT_LE(allocations, kOwnershipJoinEvalAllocationsBefore / 2)
+      << "a warm evaluation of the ownership join made " << allocations
+      << " allocations";
 }
 
 }  // namespace

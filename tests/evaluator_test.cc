@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "eval/evaluator.h"
 #include "term/parser.h"
 #include "term/term.h"
@@ -299,6 +302,33 @@ TEST_F(EvaluatorTest, GarageQueryKG2MatchesKG1) {
       "nest(pi1, pi2) o (unnest(pi1, pi2) x id) o "
       "(join(in @ (id x cars), id x grgs), pi1) ! [V, P]");
   EXPECT_EQ(kg1, kg2);
+}
+
+TEST_F(EvaluatorTest, SharedTermEvaluatesConcurrently) {
+  // Several workers evaluate one freshly parsed term at once, so they race
+  // to classify its primitive leaves (Term::prim_op). Every one must see
+  // the result a separately parsed copy gives.
+  const std::string text =
+      "iterate(gt @ (age, Kf(30)), (name, card o child)) ! P";
+  auto shared = ParseQuery(text);
+  auto copy = ParseQuery(text);
+  ASSERT_TRUE(shared.ok() && copy.ok());
+  constexpr int kWorkers = 4;
+  std::vector<StatusOr<Value>> results(kWorkers, Value::Null());
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      Evaluator evaluator(db_.get());
+      results[w] = evaluator.EvalObject(shared.value());
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  auto expected = EvalQuery(*db_, copy.value());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  for (const StatusOr<Value>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result.value(), expected.value());
+  }
 }
 
 }  // namespace

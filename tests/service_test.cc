@@ -529,6 +529,34 @@ TEST_F(ServiceTest, DeepNestedQueryLineIsAnErrorNotACrash) {
   EXPECT_EQ(service.stats().parse_errors, 3u);
 }
 
+TEST_F(ServiceTest, LongMalformedQueryLineGetsAShortError) {
+  // A rejected request's ERR reply quotes a bounded prefix of the query
+  // and its length, never the whole text: the reply stays small however
+  // large the request was.
+  OptimizationService service(db_.get(), &properties_, ServiceOptions{});
+  std::string set = "{1";
+  while (set.size() < 100'000) set += ", 1";
+  set += "}";
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"AQUA", "Q gold aqua " + set + " )"},
+      {"AQUA", "Q gold aqua " + std::string(100'000, 'x') + " ) )"},
+      {"OQL", "Q gold oql select p from p in P where p.age in " + set + " )"},
+  };
+  for (const auto& [language, line] : requests) {
+    ASSERT_GT(line.size(), 100'000u);
+    const std::string response = service.HandleLine(line);
+    EXPECT_LT(response.size(), 1024u) << response.substr(0, 400);
+    EXPECT_EQ(response.rfind("ERR INVALID_ARGUMENT: ", 0), 0u)
+        << response.substr(0, 400);
+    EXPECT_NE(response.find("while parsing " + language + " '"),
+              std::string::npos)
+        << response.substr(0, 400);
+    EXPECT_NE(response.find(" bytes)"), std::string::npos)
+        << response.substr(0, 400);
+  }
+  EXPECT_EQ(service.stats().parse_errors, requests.size());
+}
+
 // ---------------------------------------------------------------------------
 // E-graph counters in STATS
 // ---------------------------------------------------------------------------

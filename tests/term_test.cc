@@ -74,6 +74,25 @@ TEST(TermTest, EqualityDistinguishesMetaVarSorts) {
   EXPECT_TRUE(Term::Equal(FnVar("f"), FnVar("f")));
 }
 
+TEST(TermTest, PrimOpClassifiesByKindAndName) {
+  EXPECT_EQ(Id()->prim_op(), PrimOp::kId);
+  EXPECT_EQ(Pi1()->prim_op(), PrimOp::kPi1);
+  EXPECT_EQ(PrimFn("diff")->prim_op(), PrimOp::kDiff);
+  EXPECT_EQ(EqP()->prim_op(), PrimOp::kEq);
+  EXPECT_EQ(PrimPred("geq")->prim_op(), PrimOp::kGeq);
+  // A built-in name of the other sort, or any other name, is a schema
+  // name the Database resolves.
+  EXPECT_EQ(PrimFn("eq")->prim_op(), PrimOp::kSchema);
+  EXPECT_EQ(PrimPred("id")->prim_op(), PrimOp::kSchema);
+  EXPECT_EQ(PrimFn("age")->prim_op(), PrimOp::kSchema);
+  EXPECT_EQ(Compose(Id(), Id())->prim_op(), PrimOp::kNone);
+  EXPECT_EQ(FnVar("pi1")->prim_op(), PrimOp::kNone);
+  // The cached answer is the same answer.
+  TermPtr union_fn = PrimFn("union");
+  EXPECT_EQ(union_fn->prim_op(), PrimOp::kUnion);
+  EXPECT_EQ(union_fn->prim_op(), PrimOp::kUnion);
+}
+
 TEST(TermTest, NodeCountCounts) {
   EXPECT_EQ(Id()->node_count(), 1u);
   EXPECT_EQ(Compose(Id(), Id())->node_count(), 3u);
